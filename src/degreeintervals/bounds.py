@@ -16,12 +16,13 @@ degree dbar = n-1-d, two guarantees are computed here:
   sqrt(d*n) threshold nothing nontrivial holds and the optimum is 0.
 
 Half-order quantities and the two edge-counting slack polynomials are
-evaluated in exact rational arithmetic; window quantities involve a
-square root and use floats, with the discriminant formed exactly when
-the input is rational.
+evaluated in exact rational arithmetic.  Window values involve a square
+root and are floats with an exactly formed discriminant; where a window
+end meets an integer degree, `window_thresholds` decides it exactly.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,30 +31,31 @@ from .params import GraphParams, Interval
 
 
 def _require_nondegenerate(p: GraphParams):
-    if p.d == 0 or p.d == p.n - 1:
+    if p.m == 0 or p.m == p.max_edges:
         raise DomainError(
             f"average degree {p.d} is degenerate for order {p.n}; need 0 < d < n-1")
 
 
 def is_above_sqrt_dn(p: GraphParams, d_plus) -> bool:
-    """Branch test d_plus > sqrt(d*n), exact for rational d_plus."""
-    if isinstance(d_plus, (int, Fraction)):
-        return Fraction(d_plus) ** 2 > p.d * p.n
-    return float(d_plus) > math.sqrt(float(p.d * p.n))
+    """Branch test d_plus > sqrt(d*n), exact for rational d_plus, floats included."""
+    return Fraction(d_plus) ** 2 > p.d * p.n
 
 
 def _window_sqrt(p: GraphParams, d_plus) -> float:
-    """sqrt(d_plus^2 - d*n), with the argument formed exactly when possible."""
-    if isinstance(d_plus, (int, Fraction)):
-        return math.sqrt(Fraction(d_plus) ** 2 - p.d * p.n)
-    dpf = float(d_plus)
-    return math.sqrt(dpf * dpf - float(p.d * p.n))
+    """sqrt(d_plus^2 - d*n), with the argument formed exactly."""
+    return math.sqrt(Fraction(d_plus) ** 2 - p.d * p.n)
 
 
-def _require_window_domain(p: GraphParams, d_plus):
+def require_window_domain(p: GraphParams, d_plus):
+    """The window-domain check: 0 < d < n-1 and d < d_plus <= n-1."""
     _require_nondegenerate(p)
-    if d_plus > p.n - 1:
-        raise DomainError(f"d_plus={d_plus} exceeds n-1={p.n - 1}")
+    if not p.d < d_plus <= p.n - 1:
+        raise DomainError(f"d_plus={d_plus} outside (d, n-1] = ({p.d}, {p.n - 1}]")
+
+
+def require_above_root(p: GraphParams, d_plus):
+    """The window-domain check, narrowed to sqrt(d*n) < d_plus <= n-1."""
+    require_window_domain(p, d_plus)
     if not is_above_sqrt_dn(p, d_plus):
         raise DomainError(
             f"d_plus={d_plus} must exceed sqrt(d*n) = {math.sqrt(float(p.d * p.n)):.6g}")
@@ -107,7 +109,7 @@ def d_minus_bound(p: GraphParams, d_plus) -> float:
     which is the same value without subtractive cancellation and is
     nonnegative term by term.  Requires sqrt(d n) < d_plus <= n-1.
     """
-    _require_window_domain(p, d_plus)
+    require_above_root(p, d_plus)
     s = _window_sqrt(p, d_plus)
     dpf = float(d_plus)
     dn = float(p.d * p.n)
@@ -116,7 +118,7 @@ def d_minus_bound(p: GraphParams, d_plus) -> float:
 
 def ell_min(p: GraphParams, d_plus) -> float:
     """Window length d_plus - d_minus = (d_plus - d) n / (n - d_plus + s)."""
-    _require_window_domain(p, d_plus)
+    require_above_root(p, d_plus)
     s = _window_sqrt(p, d_plus)
     dpf = float(d_plus)
     return (dpf - float(p.d)) * p.n / (p.n - dpf + s)
@@ -125,12 +127,35 @@ def ell_min(p: GraphParams, d_plus) -> float:
 def opt_value(p: GraphParams, d_plus) -> float:
     """Optimal value of the window relaxation: 0 up to sqrt(d*n), then
     the d_minus bound.  Defined for d < d_plus <= n-1."""
-    _require_nondegenerate(p)
-    if not (d_plus > p.d and d_plus <= p.n - 1):
-        raise DomainError(f"d_plus={d_plus} outside (d, n-1] = ({p.d}, {p.n - 1}]")
-    if not is_above_sqrt_dn(p, d_plus):
-        return 0.0
-    return d_minus_bound(p, d_plus)
+    require_window_domain(p, d_plus)
+    return d_minus_bound(p, d_plus) if is_above_sqrt_dn(p, d_plus) else 0.0
+
+
+def window_thresholds(p: GraphParams, d_plus) -> tuple:
+    """Integer thresholds (lo, lo_strict, hi, hi_strict) of the window
+    [opt_value(p, d_plus), d_plus]: a degree k lies in it iff lo <= k <= hi,
+    and strictly inside iff lo_strict <= k <= hi_strict.
+
+    Exact for any rational d_plus = a/b, floats included: above sqrt(d n),
+    k >= d_minus iff k(a n - d n b) >= (d n - k n) sqrt(a^2 - d n b^2),
+    decided by sign and by squaring.
+    """
+    require_window_domain(p, d_plus)
+    q = Fraction(d_plus)
+    hi, hi_strict = math.floor(q), math.ceil(q) - 1
+    a, b = q.as_integer_ratio()
+    u, v = (2 * p.m).as_integer_ratio()  # d n = 2m = u/v
+    disc = a * a * v - u * b * b  # sign of d_plus^2 - d n
+    if disc <= 0:
+        return 0, 1, hi, hi_strict
+    slope = a * p.n * v - u * b  # > 0 because d_plus > d
+
+    def excess(k):  # has the sign of k - d_minus
+        rhs = u - k * p.n * v
+        return 1 if rhs <= 0 else k * k * slope * slope * v - rhs * rhs * disc
+
+    lo = bisect_left(range(p.n), 0, key=excess)  # d_minus < n-1, so lo < n
+    return lo, lo + (excess(lo) == 0), hi, hi_strict
 
 
 def symmetric_d_plus(p: GraphParams, d_minus) -> float:

@@ -113,12 +113,12 @@ def cmd_bound(args) -> int:
     if args.dplus is not None:
         low = bounds.d_minus_bound(p, args.dplus)
         ell = bounds.ell_min(p, args.dplus)
-        print(f"d_plus  = {args.dplus:.6g}")
+        print(f"d_plus  = {float(args.dplus):.6g}")
         print(f"d_minus = {low:.6g}")
         print(f"ell_min = {ell:.6g}")
     if args.dminus is not None:
         up = bounds.symmetric_d_plus(p, args.dminus)
-        print(f"symmetric window for d_minus = {args.dminus:.6g}: d_plus = {up:.6g}")
+        print(f"symmetric window for d_minus = {float(args.dminus):.6g}: d_plus = {up:.6g}")
     return 0
 
 
@@ -147,45 +147,6 @@ def cmd_opt(args) -> int:
     print(f"grid oracle: d_minus = {grid.objective:.6g}")
     print(f"difference : {abs(grid.objective - sol.objective):.3g}")
     return 0
-
-
-def _verify_half_order(nmax: int) -> int:
-    total_viol = total_seq = total_mismatch = 0
-    for n in range(2, nmax + 1):
-        viol = seqs = mism = extremal_count = 0
-        for m in range(1, n * (n - 1) // 2):
-            rep = sequences.verify_half_order(n, m)
-            viol += len(rep.violations)
-            mism += len(rep.profile_mismatches)
-            extremal_count += len(rep.extremal_sequences)
-            seqs += rep.sequences_checked
-        print(f"n={n}: {seqs} sequences, {viol} violations, "
-              f"{extremal_count} extremal, {mism} profile mismatches")
-        total_viol += viol
-        total_seq += seqs
-        total_mismatch += mism
-    print(f"total: {total_seq} sequences, {total_viol} violations "
-          f"({total_mismatch} profile mismatches)")
-    return 0 if total_viol == 0 else 1
-
-
-def _verify_window(nmax: int) -> int:
-    total_viol = total_checks = bound_fail = 0
-    for n in range(2, nmax + 1):
-        viol = checks = 0
-        for m in range(1, n * (n - 1) // 2):
-            for dp in sequences.window_grid(n, m):
-                rep = sequences.verify_window(n, m, dp)
-                viol += len(rep.violations)
-                checks += 1
-                if not rep.bound_ok:
-                    bound_fail += 1
-        print(f"n={n}: {checks} (m, d_plus) cells, {viol} violations")
-        total_viol += viol
-        total_checks += checks
-    print(f"total: {total_checks} cells, {total_viol} violations, "
-          f"{bound_fail} empirical-vs-theory failures")
-    return 0 if total_viol == 0 and bound_fail == 0 else 1
 
 
 def _verify_opt(grid_name: str) -> int:
@@ -218,18 +179,31 @@ def _verify_opt(grid_name: str) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.mode in ("t1", "t2"):
-        cap = _enumeration_cap()
-        if args.nmax < 2:
-            raise DomainError(f"nmax must be at least 2, got {args.nmax}")
-        if args.nmax > cap:
-            raise DomainError(
-                f"nmax {args.nmax} exceeds the enumeration cap {cap} (set DEGSEQ_MAX_N)")
-    if args.mode == "t1":
-        return _verify_half_order(args.nmax)
-    if args.mode == "t2":
-        return _verify_window(args.nmax)
-    return _verify_opt(args.grid)
+    if args.mode == "opt":
+        return _verify_opt(args.grid)
+    cap = min(_enumeration_cap(), sequences.HARD_ORDER_LIMIT)
+    if not 2 <= args.nmax <= cap:
+        raise DomainError(f"nmax {args.nmax} outside [2, {cap}] (set DEGSEQ_MAX_N; "
+                          f"the library limit is {sequences.HARD_ORDER_LIMIT})")
+    half_order = args.mode == "t1"
+    summarize = sequences.half_order_summary if half_order else sequences.window_summary
+    rows = []
+    for n in range(2, args.nmax + 1):
+        s = summarize(n)
+        rows.append(s)
+        if half_order:
+            print(f"n={n}: {s.sequences} sequences, {s.violations} violations, "
+                  f"{s.extremal} extremal, {s.mismatches} profile mismatches")
+        else:
+            print(f"n={n}: {s.cells} (m, d_plus) cells, {s.violations} violations")
+    cells, seqs, violations, _, mismatches, bound_failures = map(sum, zip(*rows))
+    if half_order:
+        print(f"total: {seqs} sequences, {violations} violations "
+              f"({mismatches} profile mismatches)")
+    else:
+        print(f"total: {cells} cells, {violations} violations, "
+              f"{bound_failures} empirical-vs-theory failures")
+    return 0 if violations == 0 and bound_failures == 0 else 1
 
 
 def cmd_extremal(args) -> int:
@@ -287,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("bound", cmd_bound, "window bounds d_minus / ell_min / symmetric d_plus")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--dplus", type=float)
-    sp.add_argument("--dminus", type=float)
+    sp.add_argument("--dplus", type=Fraction)
+    sp.add_argument("--dminus", type=Fraction)
 
     sp = add("sweep", cmd_sweep, "CSV of normalized window-length curves")
     sp.add_argument("density", type=float, nargs="*",
@@ -299,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("opt", cmd_opt, "closed-form optimum cross-checked by the grid oracle")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--dplus", type=float, required=True)
+    sp.add_argument("--dplus", type=Fraction, required=True)
     sp.add_argument("--steps", type=int, default=120)
 
     sp = add("verify", cmd_verify, "exhaustive and oracle verification suites")
@@ -310,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("extremal", cmd_extremal, "build boundary / near-boundary graphs")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--dplus", type=float, default=None)
+    sp.add_argument("--dplus", type=Fraction, default=None)
 
     sp = add("peel", cmd_peel, "peeling trace of an edge-list graph file")
     sp.add_argument("graph", help="edge list path, or - for stdin")
@@ -332,7 +306,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .bounds import extremal_profile, is_above_sqrt_dn
+from .bounds import extremal_profile, require_above_root
 from .errors import DomainError, InfeasibleConstructionError, NotRealizableError
 from .graphs import Graph
 from .optim import closed_form_solution
@@ -123,11 +123,7 @@ def build_near_extremal(n: int, m: int, d_plus) -> ConstructionResult:
     p = GraphParams(n, m)
     if p.m.denominator != 1:
         raise DomainError("construction needs an integer edge count")
-    if not is_above_sqrt_dn(p, d_plus):
-        raise DomainError(
-            f"d_plus={d_plus} must exceed sqrt(d*n) = {math.sqrt(float(p.d * p.n)):.6g}")
-    if d_plus > n - 1:
-        raise DomainError(f"d_plus={d_plus} exceeds n-1={n - 1}")
+    require_above_root(p, d_plus)
     sol = closed_form_solution(p, d_plus)
     ceil_dp = math.ceil(d_plus)
     a_start = min(max(round(sol.x * n), 1), n - 1)

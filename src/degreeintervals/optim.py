@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import d_minus_bound, is_above_sqrt_dn, _window_sqrt
+from .bounds import d_minus_bound, is_above_sqrt_dn, require_window_domain, _window_sqrt
 from .errors import DomainError, InfeasibleSearchError
 from .params import GraphParams
 
@@ -86,13 +86,6 @@ def check_feasible(sol: OptSolution, p: GraphParams, d_plus, tol: float | None =
     return out
 
 
-def _require_opt_domain(p: GraphParams, d_plus):
-    if p.d == 0 or p.d == p.n - 1:
-        raise DomainError(f"average degree {p.d} is degenerate for order {p.n}")
-    if not (d_plus > p.d and d_plus <= p.n - 1):
-        raise DomainError(f"d_plus={d_plus} outside (d, n-1] = ({p.d}, {p.n - 1}]")
-
-
 def _with_feasibility(sol: OptSolution, p: GraphParams, d_plus, tol: float) -> OptSolution:
     res = constraint_residuals(sol, p, d_plus)
     bad = check_feasible(sol, p, d_plus, tol)
@@ -107,7 +100,7 @@ def closed_form_solution(p: GraphParams, d_plus, tol: float | None = None) -> Op
     x = (d_plus - sqrt(d_plus^2 - d n))/n, with the cross constraint
     tight.
     """
-    _require_opt_domain(p, d_plus)
+    require_window_domain(p, d_plus)
     if tol is None:
         tol = default_tolerance(p)
     d = float(p.d)
@@ -138,7 +131,7 @@ def solve_grid(p: GraphParams, d_plus, coarse_steps: int = 160,
     refine_rounds : shrink-and-rescan rounds after the coarse pass, at least 3.
     tol : feasibility tolerance, default 1e-9 * n.
     """
-    _require_opt_domain(p, d_plus)
+    require_window_domain(p, d_plus)
     if coarse_steps < 100:
         raise DomainError(f"coarse_steps must be >= 100, got {coarse_steps}")
     if refine_rounds < 3:

@@ -20,7 +20,8 @@ from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .bounds import d_minus_bound, extremal_profile, half_order_interval
+from .bounds import (d_minus_bound, extremal_profile, half_order_interval,
+                     require_window_domain, window_thresholds)
 from .errors import DomainError, EnumerationLimitError, NotGraphicalError
 from .graphs import Graph
 from .params import GraphParams, Interval
@@ -116,37 +117,38 @@ def _bounded_partitions(total: int, parts: int, cap: int) -> Iterator[tuple]:
 def enumerate_graphical(n: int, m: int) -> Iterator[DegreeSequence]:
     """All graphical sequences of length n and sum 2m, lexicographically
     decreasing, each exactly once."""
-    if not isinstance(n, int) or n < 2:
-        raise DomainError(f"order must be an integer >= 2, got {n!r}")
+    GraphParams(n, m)  # validates the order and the edge count
     if n > HARD_ORDER_LIMIT:
         raise EnumerationLimitError(
             f"order {n} above enumeration limit {HARD_ORDER_LIMIT}")
-    if not 0 <= m <= n * (n - 1) // 2:
-        raise DomainError(f"edge count {m} outside [0, {n * (n - 1) // 2}]")
     for seq in _bounded_partitions(2 * m, n, n - 1):
         if _eg_ok(seq):
             yield seq
 
 
 @lru_cache(maxsize=None)
-def graphical_sequences(n: int, m: int) -> tuple:
-    """Cached tuple of `enumerate_graphical(n, m)`."""
-    return tuple(enumerate_graphical(n, m))
-
-
-@lru_cache(maxsize=None)
 def _sequence_matrix(n: int, m: int) -> np.ndarray:
-    seqs = graphical_sequences(n, m)
-    if not seqs:
-        return np.empty((0, n), dtype=np.int64)
-    return np.array(seqs, dtype=np.int64)
+    """`enumerate_graphical(n, m)` as a cached int64 matrix, one row each."""
+    rows = list(enumerate_graphical(n, m))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), n)
 
 
-def _require_window_args(p: GraphParams, m: int, d_plus):
-    if not 0 < m < p.max_edges:
-        raise DomainError(f"edge count {m} must lie strictly between 0 and {p.max_edges}")
-    if not (d_plus > p.d and d_plus <= p.n - 1):
-        raise DomainError(f"d_plus={d_plus} outside (d, n-1] = ({p.d}, {p.n - 1}]")
+def graphical_sequences(n: int, m: int) -> tuple:
+    """Tuple of `enumerate_graphical(n, m)`, read from the cached matrix."""
+    return tuple(map(tuple, _sequence_matrix(n, m).tolist()))
+
+
+def _band_scan(n: int, m: int, lo: int, lo_strict: int, hi: int, hi_strict: int) -> tuple:
+    """(count, violations, extremal, low_max) over the graphical sequences
+    of length n, sum 2m: those with no degree in [lo, hi], those with none
+    in [lo_strict, hi_strict], and the least largest degree <= hi_strict.
+    The one reader of the enumeration matrix; a row has a degree in [a, b]
+    iff its largest degree <= b is >= a."""
+    arr = _sequence_matrix(n, m)
+    top_strict = np.where(arr <= hi_strict, arr, -1).max(axis=1)
+    top = top_strict if hi == hi_strict else np.where(arr <= hi, arr, -1).max(axis=1)
+    return (len(arr), [tuple(r) for r in arr[top < lo].tolist()],
+            [tuple(r) for r in arr[top_strict < lo_strict].tolist()], int(top_strict.min()))
 
 
 def empirical_d_minus(n: int, m: int, d_plus) -> int:
@@ -158,12 +160,8 @@ def empirical_d_minus(n: int, m: int, d_plus) -> int:
     >= d_plus.  Comparisons against d_plus reduce to integer thresholds,
     so the scan is exact for any rational d_plus.
     """
-    p = GraphParams(n, m)
-    _require_window_args(p, m, d_plus)
-    below_cap = math.ceil(d_plus) - 1  # degree < d_plus  <=>  degree <= below_cap
-    arr = _sequence_matrix(n, m)
-    low = np.where(arr <= below_cap, arr, -1).max(axis=1)
-    return int(low.min())
+    *_, low_max = _band_scan(n, m, *window_thresholds(GraphParams(n, m), d_plus))
+    return low_max
 
 
 @dataclass
@@ -188,10 +186,6 @@ class VerificationReport:
     theory_lower: Optional[float] = None
     bound_ok: Optional[bool] = None
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations and self.bound_ok is not False
-
 
 def _profile_sequence(p: GraphParams):
     prof = extremal_profile(p)
@@ -211,53 +205,69 @@ def verify_half_order(n: int, m: int) -> VerificationReport:
     """
     p = GraphParams(n, m)
     iv = half_order_interval(p)
-    lo_in, hi_in = math.ceil(iv.lo), math.floor(iv.hi)
-    lo_strict, hi_strict = math.floor(iv.lo) + 1, math.ceil(iv.hi) - 1
-    seqs = graphical_sequences(n, m)
-    arr = _sequence_matrix(n, m)
-    inside_closed = ((arr >= lo_in) & (arr <= hi_in)).any(axis=1)
-    inside_open = ((arr >= lo_strict) & (arr <= hi_strict)).any(axis=1)
-    violations = [seqs[i] for i in np.flatnonzero(~inside_closed)]
-    extremal = [seqs[i] for i in np.flatnonzero(~inside_open)]
+    checked, violations, extremal, _ = _band_scan(
+        n, m, math.ceil(iv.lo), math.floor(iv.lo) + 1, math.floor(iv.hi), math.ceil(iv.hi) - 1)
     mismatches = []
     if 0 < p.d < n - 1:
         expected = _profile_sequence(p)
         mismatches = [s for s in extremal if s != expected]
-    return VerificationReport(p, None, len(seqs), violations, extremal, mismatches)
+    return VerificationReport(p, None, checked, violations, extremal, mismatches)
 
 
 def verify_window(n: int, m: int, d_plus) -> VerificationReport:
-    """Scan every graphical sequence for an entry in [d_minus bound, d_plus]."""
+    """Scan every graphical sequence for an entry in [d_minus bound, d_plus],
+    decided on exact integer thresholds; `theory_lower` is for display."""
     p = GraphParams(n, m)
-    _require_window_args(p, m, d_plus)
+    lo, lo_strict, hi, hi_strict = window_thresholds(p, d_plus)
     theory = d_minus_bound(p, d_plus)  # also enforces d_plus > sqrt(d n)
-    hi_cap = math.floor(d_plus)        # degree <= d_plus  <=>  degree <= hi_cap
-    strict_cap = math.ceil(d_plus) - 1
-    seqs = graphical_sequences(n, m)
-    arr = _sequence_matrix(n, m)
-    inside = ((arr >= theory) & (arr <= hi_cap)).any(axis=1)
-    interior = ((arr > theory) & (arr <= strict_cap)).any(axis=1)
-    violations = [seqs[i] for i in np.flatnonzero(~inside)]
-    extremal = [seqs[i] for i in np.flatnonzero(~interior)]
-    emp = empirical_d_minus(n, m, d_plus)
+    checked, violations, extremal, low_max = _band_scan(n, m, lo, lo_strict, hi, hi_strict)
     return VerificationReport(
-        p, d_plus, len(seqs), violations, extremal,
-        empirical_d_minus=emp, theory_lower=theory,
-        bound_ok=emp >= theory - 1e-9,
+        p, d_plus, checked, violations, extremal,
+        empirical_d_minus=low_max, theory_lower=theory, bound_ok=low_max >= lo,
     )
 
 
 def window_grid(n: int, m: int) -> list:
-    """One-decimal d_plus values strictly above sqrt(2m), up to n-1.
+    """Exact one-decimal d_plus values k/10 strictly above sqrt(2m), up to n-1.
 
     The start index solves k^2 > 100 * 2m in integers, so the strictness
     is exact even when sqrt(2m) is itself a tenth.
     """
-    p = GraphParams(n, m)
-    if not 0 < m < p.max_edges:
-        raise DomainError(f"edge count {m} must lie strictly between 0 and {p.max_edges}")
+    require_window_domain(GraphParams(n, m), n - 1)  # n-1 must be a valid d_plus
     k0 = math.isqrt(200 * m) + 1
-    return [k / 10 for k in range(k0, 10 * (n - 1) + 1)]
+    return [Fraction(k, 10) for k in range(k0, 10 * (n - 1) + 1)]
+
+
+class OrderSummary(NamedTuple):
+    """Totals of one exhaustive scan over every 0 < m < n(n-1)/2 of an order."""
+
+    cells: int
+    sequences: int
+    violations: int
+    extremal: int
+    mismatches: int
+    bound_failures: int
+
+
+def _summarize(reports) -> OrderSummary:
+    total = OrderSummary(0, 0, 0, 0, 0, 0)
+    for r in reports:
+        counts = (1, r.sequences_checked, len(r.violations), len(r.extremal_sequences),
+                  len(r.profile_mismatches), r.bound_ok is False)
+        total = OrderSummary(*(a + b for a, b in zip(total, counts)))
+    return total
+
+
+def half_order_summary(n: int) -> OrderSummary:
+    """`verify_half_order` at order n, totalled over every edge count."""
+    return _summarize(verify_half_order(n, m) for m in range(1, n * (n - 1) // 2))
+
+
+def window_summary(n: int) -> OrderSummary:
+    """`verify_window` at order n, totalled over every edge count and its
+    `window_grid`; one cell per (m, d_plus)."""
+    ms = range(1, n * (n - 1) // 2)
+    return _summarize(verify_window(n, m, dp) for m in ms for dp in window_grid(n, m))
 
 
 def find_vertex_in_interval(g: Graph, interval: Interval):

@@ -17,7 +17,9 @@ from degreeintervals import (
     scaled_d_minus_deriv,
     scaled_ell_min,
     symmetric_d_plus,
+    window_grid,
 )
+from degreeintervals.bounds import window_thresholds
 
 
 def all_params(n_max):
@@ -146,6 +148,65 @@ class TestOptValue:
             opt_value(p, 25)  # not above d
         with pytest.raises(DomainError):
             opt_value(p, 99.5)
+
+
+def tenth_grid(n_max):
+    """(params, d_plus) over every `window_grid` cell up to order n_max."""
+    for n in range(2, n_max + 1):
+        for m in range(1, n * (n - 1) // 2):
+            for dp in window_grid(n, m):
+                yield GraphParams(n, m), dp
+
+
+class TestWindowThresholds:
+    def test_float_misses_the_integer(self):
+        # n = 12: the float bound lands a few ulps off an exact integer
+        cases = [(52, Fraction(51, 5), 1), (54, Fraction(52, 5), 2),
+                 (56, Fraction(53, 5), 3), (58, Fraction(54, 5), 4)]
+        for m, dp, k in cases:
+            p = GraphParams(12, m)
+            assert window_thresholds(p, dp)[:2] == (k, k + 1)
+            assert d_minus_bound(p, dp) == pytest.approx(k, abs=1e-12)
+
+    def test_agrees_with_float_away_from_integers(self):
+        for p, dp in tenth_grid(10):
+            v = d_minus_bound(p, dp)
+            if abs(v - round(v)) > 1e-9:
+                lo, lo_strict, hi, hi_strict = window_thresholds(p, dp)
+                assert lo == lo_strict == math.ceil(v), (p, dp)
+                assert (hi, hi_strict) == (math.floor(dp), math.ceil(dp) - 1)
+
+    def test_integer_d_minus_has_strict_threshold_above(self):
+        # d_minus = k exactly iff s = (q - d) n / (q - k) - n + q is the
+        # nonnegative root of q^2 - d n, checked here in exact rationals
+        ties = 0
+        for p, dp in tenth_grid(12):
+            v = d_minus_bound(p, dp)
+            k = round(v)
+            if abs(v - k) > 1e-9:
+                continue
+            s = (dp - p.d) * p.n / (dp - k) - p.n + dp
+            if s >= 0 and s * s == dp * dp - p.d * p.n:
+                ties += 1
+                assert window_thresholds(p, dp)[:2] == (k, k + 1), (p, dp)
+        assert ties == 49
+
+    def test_float_input_is_taken_at_its_exact_value(self):
+        # the double nearest 10.4 lies just above 52/5, so its d_minus
+        # lies just above 2 and the first degree in the window is 3
+        p = GraphParams(12, 54)
+        assert Fraction(10.4) > Fraction(52, 5)
+        assert window_thresholds(p, 10.4)[:2] == (3, 3)
+        assert window_thresholds(p, Fraction(52, 5))[:2] == (2, 3)
+
+    def test_below_root_and_domain(self):
+        p = GraphParams(4, 3)  # d = 3/2, sqrt(d n) = sqrt(6)
+        assert window_thresholds(p, 2) == (0, 1, 2, 1)
+        for bad in (Fraction(3, 2), 4):
+            with pytest.raises(DomainError):
+                window_thresholds(p, bad)
+        with pytest.raises(DomainError):
+            window_thresholds(GraphParams(4, 0), 2)
 
 
 class TestSymmetricUpper:

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from degreeintervals import Graph, format_edge_list
+from degreeintervals import Graph, format_edge_list, sequences
 from degreeintervals.cli import main, read_sweep_csv, sweep_rows
 
 
@@ -51,6 +51,13 @@ class TestBound:
         rc, out, _ = run(capsys, "bound", "--n", "4", "--m", "3", "--dminus", "0")
         assert rc == 0
         assert "2.19615" in out
+
+    def test_rational_dplus(self, capsys):
+        rc, exact, _ = run(capsys, "bound", "--n", "12", "--m", "54", "--dplus", "52/5")
+        assert rc == 0
+        rc, decimal, _ = run(capsys, "bound", "--n", "12", "--m", "54", "--dplus", "10.4")
+        assert rc == 0 and decimal == exact
+        assert "d_plus  = 10.4\n" in exact
 
     def test_needs_a_bound_flag(self, capsys):
         rc, _, err = run(capsys, "bound", "--n", "4", "--m", "3")
@@ -109,6 +116,14 @@ class TestVerify:
         assert rc == 2
         assert "DEGSEQ_MAX_N" in err
 
+    def test_library_limit_refused_before_scanning(self, capsys, monkeypatch):
+        monkeypatch.setenv("DEGSEQ_MAX_N", "5")
+        monkeypatch.setattr(sequences, "HARD_ORDER_LIMIT", 4)
+        for mode in ("t1", "t2"):
+            rc, out, err = run(capsys, "verify", "--mode", mode, "--nmax", "5")
+            assert rc == 2 and out == ""
+            assert "library limit" in err
+
     def test_default_cap_allows_ten(self, capsys, monkeypatch):
         monkeypatch.delenv("DEGSEQ_MAX_N", raising=False)
         rc, _, _ = run(capsys, "verify", "--mode", "t1", "--nmax", "4")
@@ -161,6 +176,10 @@ class TestPeel:
     def test_missing_file(self, capsys, tmp_path):
         rc, _, err = run(capsys, "peel", str(tmp_path / "nope.txt"))
         assert rc == 2
+
+    def test_directory_is_an_argument_error(self, capsys, tmp_path):
+        rc, _, err = run(capsys, "peel", str(tmp_path))
+        assert rc == 2 and "error" in err
 
 
 class TestOpt:

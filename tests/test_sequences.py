@@ -227,8 +227,8 @@ class TestVerifyWindow:
             root = math.sqrt(2 * m)
             assert all(dp > root for dp in grid)
             assert grid[-1] == n - 1
-            # steps of one tenth
-            assert all(round(dp * 10) == pytest.approx(dp * 10) for dp in grid)
+            # exact steps of one tenth
+            assert all(dp == Fraction(round(dp * 10), 10) for dp in grid)
 
     def test_exhaustive_small_orders(self):
         for n in range(3, 8):
