@@ -17,8 +17,9 @@ degree dbar = n-1-d, two guarantees are computed here:
 
 Half-order quantities and the two edge-counting slack polynomials are
 evaluated in exact rational arithmetic.  Window values involve a square
-root and are floats with an exactly formed discriminant; where a window
-end meets an integer degree, `window_thresholds` decides it exactly.
+root and are floats with an exactly formed discriminant.  Where an
+interval end meets an integer degree, `half_order_thresholds` and
+`window_thresholds` decide it exactly, in integers.
 """
 
 import math
@@ -62,9 +63,20 @@ def require_above_root(p: GraphParams, d_plus):
 
 
 def half_order_interval(p: GraphParams) -> Interval:
-    """Closed interval of length (n-2)/2 around d guaranteed to contain a degree."""
-    c = Fraction(p.n - 2, 2 * (p.n - 1))
-    return Interval(p.d - c * p.d, p.d + c * p.d_bar)
+    """Closed interval of length (n-2)/2 around d guaranteed to contain a degree.
+
+    With c = (n-2)/(2(n-1)), d - c d = m/(n-1) and d + c dbar = m/(n-1) + (n-2)/2.
+    """
+    lo = p.m / (p.n - 1)
+    return Interval(lo, lo + Fraction(p.n - 2, 2))
+
+
+def half_order_thresholds(p: GraphParams) -> tuple:
+    """Integer thresholds (lo, lo_strict, hi, hi_strict) of the half-order
+    interval, with the meaning of `window_thresholds`; exact, since the
+    endpoints are Fractions."""
+    iv = half_order_interval(p)
+    return math.ceil(iv.lo), math.floor(iv.lo) + 1, math.floor(iv.hi), math.ceil(iv.hi) - 1
 
 
 @dataclass(frozen=True)

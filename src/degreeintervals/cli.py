@@ -43,6 +43,16 @@ def _enumeration_cap() -> int:
         raise DomainError(f"DEGSEQ_MAX_N must be an integer, got {raw!r}") from None
 
 
+def _rational(text: str) -> Fraction:
+    """Argument type of --dplus / --dminus: an exact rational such as 52/5
+    or 10.4.  A zero denominator is an argument error like any other bad
+    value (Fraction raises ZeroDivisionError, which argparse lets through)."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid rational value: {text!r}") from None
+
+
 def _frac(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
@@ -149,38 +159,16 @@ def cmd_opt(args) -> int:
     return 0
 
 
-def _verify_opt(grid_name: str) -> int:
-    if grid_name == "quick":
-        cells = optim.reference_cells(sizes=(20,), ratios=(Fraction(1, 4), Fraction(1, 2)))
-        count = 6
-    elif grid_name == "default":
-        cells = optim.reference_cells()
-        count = 12
-    else:
-        raise DomainError(f"unknown grid {grid_name!r} (use default or quick)")
-    ok = True
-    for p in cells:
-        worst = 0.0
-        for dp in optim.d_plus_test_grid(p, count):
-            closed = bounds.opt_value(p, dp)
-            sol = optim.solve_grid(p, dp, coarse_steps=120, refine_rounds=5)
-            worst = max(worst, abs(sol.objective - closed))
-            cf = optim.closed_form_solution(p, dp)
-            if not cf.feasible:
-                ok = False
-        bound = 1e-3 * p.n
-        flag = "ok" if worst <= bound else "FAIL"
-        if worst > bound:
-            ok = False
-        print(f"n={p.n} d={_frac(p.d)}: max |grid - closed| = {worst:.3g} "
-              f"(allowed {bound:.3g}) {flag}")
-    print("all cells within tolerance" if ok else "tolerance exceeded")
-    return 0 if ok else 1
-
-
 def cmd_verify(args) -> int:
     if args.mode == "opt":
-        return _verify_opt(args.grid)
+        rows = optim.oracle_summary(args.grid)
+        for r in rows:
+            flag = "ok" if r.within_tolerance else "FAIL"
+            print(f"n={r.params.n} d={_frac(r.params.d)}: max |grid - closed| = {r.worst:.3g} "
+                  f"(allowed {r.allowed:.3g}) {flag}")
+        ok = all(r.within_tolerance and r.feasible for r in rows)
+        print("all cells within tolerance" if ok else "tolerance exceeded")
+        return 0 if ok else 1
     cap = min(_enumeration_cap(), sequences.HARD_ORDER_LIMIT)
     if not 2 <= args.nmax <= cap:
         raise DomainError(f"nmax {args.nmax} outside [2, {cap}] (set DEGSEQ_MAX_N; "
@@ -261,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("bound", cmd_bound, "window bounds d_minus / ell_min / symmetric d_plus")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--dplus", type=Fraction)
-    sp.add_argument("--dminus", type=Fraction)
+    sp.add_argument("--dplus", type=_rational)
+    sp.add_argument("--dminus", type=_rational)
 
     sp = add("sweep", cmd_sweep, "CSV of normalized window-length curves")
     sp.add_argument("density", type=float, nargs="*",
@@ -273,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("opt", cmd_opt, "closed-form optimum cross-checked by the grid oracle")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--dplus", type=Fraction, required=True)
+    sp.add_argument("--dplus", type=_rational, required=True)
     sp.add_argument("--steps", type=int, default=120)
 
     sp = add("verify", cmd_verify, "exhaustive and oracle verification suites")
@@ -284,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("extremal", cmd_extremal, "build boundary / near-boundary graphs")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--dplus", type=Fraction, default=None)
+    sp.add_argument("--dplus", type=_rational, default=None)
 
     sp = add("peel", cmd_peel, "peeling trace of an edge-list graph file")
     sp.add_argument("graph", help="edge list path, or - for stdin")

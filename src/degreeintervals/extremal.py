@@ -14,7 +14,6 @@ against the theoretical bound; it can approach but never beat it.
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 from .bounds import extremal_profile, require_above_root
@@ -39,43 +38,15 @@ class ConstructionResult:
     gap_report: dict
 
 
-def _greedy_bipartite(left: list, right: list) -> list:
-    """Greedy bipartite realization of a degree pair (largest residual first).
-
-    Standard argument: feasible bipartite degree pairs stay feasible when
-    the most demanding left vertex is wired to the largest right
-    residuals, so the greedy order realizes every realizable pair.
-    """
-    res = list(right)
-    pairs = []
-    for i, need in enumerate(left):
-        if need > len(res):
-            raise NotRealizableError("bipartite degree pair is not realizable")
-        order = sorted(range(len(res)), key=lambda j: (-res[j], j))
-        if need and res[order[need - 1]] <= 0:
-            raise NotRealizableError("bipartite degree pair is not realizable")
-        for j in order[:need]:
-            res[j] -= 1
-            pairs.append((i, j))
-    if any(res):
-        raise NotRealizableError("bipartite degree pair is not realizable")
-    return pairs
-
-
 def _biregular_pairs(a: int, b: int) -> list:
     """Cross edges giving every left vertex b/2 rights, every right a/2 lefts.
 
-    Modular layout first (left i covers an arc of b/2 rights starting at
-    floor(i*b/a)); if the right side does not come out regular, fall back
-    to the greedy bipartite realization.
+    For even a and b, left i covers the arc of b/2 rights starting at
+    s(i) = floor(i*b/a), mod b.  Since s(i + a/2) = s(i) + b/2, lefts i
+    and i + a/2 cover complementary arcs, so every right is covered by
+    exactly one left of each such pair: a/2 lefts in all.
     """
-    if a == 0 or b == 0:
-        return []
-    pairs = [(i, (i * b // a + t) % b) for i in range(a) for t in range(b // 2)]
-    counts = Counter(j for _, j in pairs)
-    if len(set(pairs)) == len(pairs) and all(counts[j] == a // 2 for j in range(b)):
-        return pairs
-    return _greedy_bipartite([b // 2] * a, [a // 2] * b)
+    return [(i, (i * b // a + t) % b) for i in range(a) for t in range(b // 2)]
 
 
 def build_split_extremal(n: int, m: int) -> ConstructionResult:

@@ -65,9 +65,6 @@ class Graph:
                     g.add_edge(u, v)
         return g
 
-    def copy(self) -> "Graph":
-        return Graph(self.n, self.edges())
-
     @classmethod
     def complete(cls, n: int) -> "Graph":
         return cls(n, [(u, v) for u in range(n) for v in range(u + 1, n)])

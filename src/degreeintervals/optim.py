@@ -23,6 +23,7 @@ is a trustworthy check.
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -233,8 +234,45 @@ def reference_cells(sizes=(20, 50, 100),
     return [GraphParams.from_density(n, r * n) for n in sizes for r in ratios]
 
 
+class OracleRow(NamedTuple):
+    """One cell of `oracle_summary`: the worst |grid - closed| over its
+    d_plus values, the allowed 1e-3 n, and whether every closed-form
+    point was feasible."""
+
+    params: GraphParams
+    worst: float
+    allowed: float
+    feasible: bool
+
+    @property
+    def within_tolerance(self) -> bool:
+        return self.worst <= self.allowed
+
+
+def oracle_summary(grid: str) -> list:
+    """`solve_grid` against `closed_form_solution` on a named validation
+    grid, one `OracleRow` per cell: "default" is `reference_cells()` with
+    12 d_plus values each, "quick" is n=20 at d/n = 1/4, 1/2 with 6."""
+    if grid == "quick":
+        cells, count = reference_cells(sizes=(20,), ratios=(Fraction(1, 4), Fraction(1, 2))), 6
+    elif grid == "default":
+        cells, count = reference_cells(), 12
+    else:
+        raise DomainError(f"unknown grid {grid!r} (use default or quick)")
+    rows = []
+    for p in cells:
+        worst, feasible = 0.0, True
+        for dp in d_plus_test_grid(p, count):
+            closed = closed_form_solution(p, dp)
+            sol = solve_grid(p, dp, coarse_steps=120, refine_rounds=5)
+            worst = max(worst, abs(sol.objective - closed.objective))
+            feasible = feasible and closed.feasible
+        rows.append(OracleRow(p, worst, 1e-3 * p.n, feasible))
+    return rows
+
+
 __all__ = [
-    "OptSolution", "constraint_residuals", "check_feasible",
+    "OptSolution", "OracleRow", "constraint_residuals", "check_feasible",
     "closed_form_solution", "solve_grid", "default_tolerance",
-    "d_plus_test_grid", "reference_cells",
+    "d_plus_test_grid", "reference_cells", "oracle_summary",
 ]

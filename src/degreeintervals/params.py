@@ -69,31 +69,21 @@ class GraphParams:
 
 @dataclass(frozen=True)
 class Interval:
-    """Real interval with per-endpoint open/closed flags (closed by default)."""
+    """Closed real interval [lo, hi]."""
 
     lo: object
     hi: object
-    lo_open: bool = False
-    hi_open: bool = False
 
     def __post_init__(self):
         if self.lo > self.hi:
             raise DomainError(f"empty interval: lo={self.lo} > hi={self.hi}")
 
     def contains(self, value) -> bool:
-        above = value > self.lo if self.lo_open else value >= self.lo
-        below = value < self.hi if self.hi_open else value <= self.hi
-        return above and below
-
-    def interior(self) -> "Interval":
-        """The same endpoints with both sides open."""
-        return Interval(self.lo, self.hi, True, True)
+        return self.lo <= value <= self.hi
 
     @property
     def length(self):
         return self.hi - self.lo
 
     def __str__(self):
-        left = "(" if self.lo_open else "["
-        right = ")" if self.hi_open else "]"
-        return f"{left}{_fmt(self.lo)}, {_fmt(self.hi)}{right}"
+        return f"[{_fmt(self.lo)}, {_fmt(self.hi)}]"

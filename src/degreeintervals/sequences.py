@@ -20,8 +20,8 @@ from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .bounds import (d_minus_bound, extremal_profile, half_order_interval,
-                     require_window_domain, window_thresholds)
+from .bounds import (extremal_profile, half_order_interval, half_order_thresholds,
+                     require_above_root, require_window_domain, window_thresholds)
 from .errors import DomainError, EnumerationLimitError, NotGraphicalError
 from .graphs import Graph
 from .params import GraphParams, Interval
@@ -175,7 +175,7 @@ class VerificationReport:
     A profile mismatch is not a counterexample: every off-profile
     boundary sequence has a degree outside the closed interval (stars
     and their complements, for example).  Window scans also record the
-    empirical optimum against the theory bound (`bound_ok`).
+    empirical optimum and whether it reaches the theory bound (`bound_ok`).
     """
 
     params: GraphParams
@@ -185,7 +185,6 @@ class VerificationReport:
     extremal_sequences: list
     profile_mismatches: list = field(default_factory=list)
     empirical_d_minus: Optional[int] = None
-    theory_lower: Optional[float] = None
     bound_ok: Optional[bool] = None
 
 
@@ -210,9 +209,7 @@ def verify_half_order(n: int, m: int) -> VerificationReport:
     star, or its complement) and is not a counterexample.
     """
     p = GraphParams(n, m)
-    iv = half_order_interval(p)
-    checked, violations, extremal, _ = _band_scan(
-        n, m, math.ceil(iv.lo), math.floor(iv.lo) + 1, math.floor(iv.hi), math.ceil(iv.hi) - 1)
+    checked, violations, extremal, _ = _band_scan(n, m, *half_order_thresholds(p))
     mismatches = []
     if 0 < p.d < n - 1:
         expected = _profile_sequence(p)
@@ -222,15 +219,13 @@ def verify_half_order(n: int, m: int) -> VerificationReport:
 
 def verify_window(n: int, m: int, d_plus) -> VerificationReport:
     """Scan every graphical sequence for an entry in [d_minus bound, d_plus],
-    decided on exact integer thresholds; `theory_lower` is for display."""
+    decided on exact integer thresholds; needs sqrt(d n) < d_plus <= n-1."""
     p = GraphParams(n, m)
+    require_above_root(p, d_plus)
     lo, lo_strict, hi, hi_strict = window_thresholds(p, d_plus)
-    theory = d_minus_bound(p, d_plus)  # also enforces d_plus > sqrt(d n)
     checked, violations, extremal, low_max = _band_scan(n, m, lo, lo_strict, hi, hi_strict)
-    return VerificationReport(
-        p, d_plus, checked, violations, extremal,
-        empirical_d_minus=low_max, theory_lower=theory, bound_ok=low_max >= lo,
-    )
+    return VerificationReport(p, d_plus, checked, violations, extremal,
+                              empirical_d_minus=low_max, bound_ok=low_max >= lo)
 
 
 def window_grid(n: int, m: int) -> list:
@@ -296,20 +291,21 @@ def peel_trace(g: Graph) -> list:
 
     Every step succeeds (the closed interval always contains a degree),
     so the trace has exactly g.n steps.  The final single vertex has
-    degree 0 and its interval degenerates to [0, 0].
+    degree 0 and its interval degenerates to [0, 0].  Degrees are picked
+    on the integer thresholds of the interval.
     """
     adj = [g.neighbors(v) for v in range(g.n)]
     deg = [len(a) for a in adj]
     alive = list(range(g.n))
     steps = []
     while alive:
-        k = len(alive)
-        if k >= 2:
-            twice_m = sum(deg[v] for v in alive)
-            iv = half_order_interval(GraphParams(k, twice_m // 2))
+        if len(alive) >= 2:
+            p = GraphParams(len(alive), sum(deg[v] for v in alive) // 2)
+            iv = half_order_interval(p)
+            lo, _, hi, _ = half_order_thresholds(p)
         else:
-            iv = Interval(Fraction(0), Fraction(0))
-        pick = next((v for v in alive if iv.contains(deg[v])), None)
+            iv, lo, hi = Interval(Fraction(0), Fraction(0)), 0, 0
+        pick = next((v for v in alive if lo <= deg[v] <= hi), None)
         if pick is None:
             raise RuntimeError("no vertex degree in the guaranteed interval")
         steps.append(PeelStep(pick, deg[pick], iv))

@@ -19,7 +19,7 @@ from degreeintervals import (
     symmetric_d_plus,
     window_grid,
 )
-from degreeintervals.bounds import window_thresholds
+from degreeintervals.bounds import half_order_thresholds, window_thresholds
 
 
 def all_params(n_max):
@@ -48,6 +48,14 @@ class TestHalfOrderInterval:
         assert isinstance(iv.lo, Fraction) and isinstance(iv.hi, Fraction)
         # lo = d * n / (2(n-1)) in lowest terms
         assert iv.lo == Fraction(18, 7) * 7 / 12
+
+    def test_thresholds_match_exact_containment(self):
+        for p in all_params(12):
+            iv = half_order_interval(p)
+            lo, lo_strict, hi, hi_strict = half_order_thresholds(p)
+            for k in range(p.n):
+                assert (lo <= k <= hi) == (iv.lo <= k <= iv.hi), (p, k)
+                assert (lo_strict <= k <= hi_strict) == (iv.lo < k < iv.hi), (p, k)
 
 
 class TestExtremalProfile:

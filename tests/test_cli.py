@@ -59,6 +59,15 @@ class TestBound:
         assert rc == 0 and decimal == exact
         assert "d_plus  = 10.4\n" in exact
 
+    def test_zero_denominator_is_an_argument_error(self, capsys):
+        for argv in (["bound", "--n", "4", "--m", "3", "--dplus", "1/0"],
+                     ["bound", "--n", "4", "--m", "3", "--dminus", "1/0"],
+                     ["opt", "--n", "4", "--m", "3", "--dplus", "1/0"],
+                     ["extremal", "--n", "4", "--m", "3", "--dplus", "1/0"]):
+            rc, out, err = run(capsys, *argv)
+            assert rc == 2 and out == "", argv
+            assert "1/0" in err and "Traceback" not in err, argv
+
     def test_needs_a_bound_flag(self, capsys):
         rc, _, err = run(capsys, "bound", "--n", "4", "--m", "3")
         assert rc == 2
@@ -108,7 +117,10 @@ class TestVerify:
         rc, out, _ = run(capsys, "verify", "--mode", "opt", "--nmax", "0",
                          "--grid", "quick")
         assert rc == 0
-        assert "within tolerance" in out
+        assert out == (
+            "n=20 d=5: max |grid - closed| = 1.17e-06 (allowed 0.02) ok\n"
+            "n=20 d=10: max |grid - closed| = 1.39e-06 (allowed 0.02) ok\n"
+            "all cells within tolerance\n")
 
     def test_enumeration_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("DEGSEQ_MAX_N", "4")

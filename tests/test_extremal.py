@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from degreeintervals import (
     opt_value,
     verify_half_order,
 )
-from degreeintervals.extremal import _biregular_pairs, _greedy_bipartite
+from degreeintervals.extremal import _biregular_pairs
 
 
 def split_parity_ok(n, m):
@@ -90,28 +91,14 @@ class TestSplitExtremal:
 
 class TestBipartiteHelpers:
     def test_modular_layout_is_biregular(self):
-        for a, b in [(2, 2), (2, 4), (4, 2), (4, 6), (6, 4), (6, 8), (8, 2)]:
-            pairs = _biregular_pairs(a, b)
-            assert len(pairs) == a * b // 2
-            from collections import Counter
-            left = Counter(i for i, _ in pairs)
-            right = Counter(j for _, j in pairs)
-            assert all(left[i] == b // 2 for i in range(a))
-            assert all(right[j] == a // 2 for j in range(b))
-
-    def test_greedy_realizes_uneven_pairs(self):
-        pairs = _greedy_bipartite([3, 2, 1], [2, 2, 1, 1])
-        from collections import Counter
-        left = Counter(i for i, _ in pairs)
-        right = Counter(j for _, j in pairs)
-        assert [left[i] for i in range(3)] == [3, 2, 1]
-        assert sorted(right.values(), reverse=True) == [2, 2, 1, 1]
-
-    def test_greedy_rejects_impossible_pairs(self):
-        with pytest.raises(NotRealizableError):
-            _greedy_bipartite([3], [1, 1])
-        with pytest.raises(NotRealizableError):
-            _greedy_bipartite([2, 2], [1, 1, 1])
+        for a in range(2, 41, 2):
+            for b in range(2, 41, 2):
+                pairs = _biregular_pairs(a, b)
+                assert len(set(pairs)) == len(pairs) == a * b // 2, (a, b)
+                left = Counter(i for i, _ in pairs)
+                right = Counter(j for _, j in pairs)
+                assert all(left[i] == b // 2 for i in range(a)), (a, b)
+                assert all(right[j] == a // 2 for j in range(b)), (a, b)
 
 
 class TestNearExtremal:

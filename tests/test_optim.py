@@ -15,6 +15,7 @@ from degreeintervals import (
     opt_value,
     solve_grid,
 )
+from degreeintervals.optim import oracle_summary
 
 
 class TestClosedFormSolution:
@@ -139,3 +140,15 @@ class TestDPlusTestGrid:
             assert all(d < dp <= n - 1 for dp in grid)
             assert grid[-1] == n - 1 or max(grid) == n - 1
             assert (n + d) / 2 in grid
+
+
+class TestOracleSummary:
+    def test_quick_grid(self):
+        rows = oracle_summary("quick")
+        assert [(r.params.n, r.params.d) for r in rows] == [(20, 5), (20, 10)]
+        assert all(r.within_tolerance and r.feasible for r in rows)
+        assert all(r.allowed == 1e-3 * 20 for r in rows)
+
+    def test_unknown_grid(self):
+        with pytest.raises(DomainError):
+            oracle_summary("huge")

@@ -211,15 +211,18 @@ class TestVerifyWindow:
         rep = verify_window(4, 3, 3)
         assert rep.violations == []
         assert rep.empirical_d_minus == 1
-        assert rep.theory_lower == pytest.approx(0.8038, abs=1e-4)
         assert rep.bound_ok
 
         rep = verify_window(4, 3, 2.75)
         assert rep.violations == [] and rep.empirical_d_minus == 1
-        assert rep.theory_lower == pytest.approx(0.75, abs=1e-12)
 
         rep = verify_window(6, 6, 5)
         assert rep.violations == [] and rep.bound_ok
+
+    def test_refuses_d_plus_at_or_below_root(self):
+        # d = 3/2 < 2 < sqrt(d n) = sqrt(6): inside (d, n-1] but below the root
+        with pytest.raises(DomainError):
+            verify_window(4, 3, 2)
 
     def test_grid_starts_strictly_above_root(self):
         for n, m in [(4, 3), (6, 6), (9, 18), (8, 8)]:
@@ -259,11 +262,6 @@ class TestFindVertexAndPeel:
                         g.add_edge(u, v)
             iv = half_order_interval(g.params())
             assert find_vertex_in_interval(g, iv) is not None
-
-    def test_open_flags_respected(self):
-        g = Graph(4, [(0, 1), (1, 2), (2, 3)])  # degrees 1,2,2,1
-        assert find_vertex_in_interval(g, Interval(1, 2, lo_open=True)) == 1
-        assert find_vertex_in_interval(g, Interval(2, 3, hi_open=True)) == 1
 
     def test_peel_complete_graph(self):
         steps = peel_trace(Graph.complete(4))
