@@ -21,7 +21,7 @@ for n in (20, 50, 100):
         p = GraphParams.from_density(n, ratio * n)
         for dp in d_plus_test_grid(p, count=4):
             closed = opt_value(p, dp)
-            sol = solve_grid(p, dp, coarse_steps=120, refine_rounds=5)
+            sol = solve_grid(p, dp)
             diff = abs(sol.objective - closed)
             worst = max(worst, diff / n)
             print(f"{n:>4} {float(ratio):>5.2f} {dp:>8.3f} "

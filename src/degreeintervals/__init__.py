@@ -40,7 +40,6 @@ from .optim import (
     closed_form_solution,
     constraint_residuals,
     d_plus_test_grid,
-    default_tolerance,
     reference_cells,
     solve_grid,
 )
@@ -71,7 +70,7 @@ __all__ = [
     "as_degree_sequence", "build_near_extremal", "build_split_extremal",
     "check_feasible", "closed_form_solution", "complement_edge_count_slack",
     "constraint_residuals", "d_minus_bound", "d_plus_test_grid",
-    "default_tolerance", "edge_count_slack", "ell_min", "empirical_d_minus",
+    "edge_count_slack", "ell_min", "empirical_d_minus",
     "enumerate_graphical", "extremal_profile", "find_vertex_in_interval",
     "format_edge_list", "graphical_sequences", "half_order_interval",
     "is_above_sqrt_dn", "is_graphical", "opt_value", "parse_edge_list",

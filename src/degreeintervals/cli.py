@@ -26,6 +26,7 @@ from .params import GraphParams
 
 SWEEP_HEADER = "d_over_n,d_plus_over_n,ell_min_over_n"
 DEFAULT_SWEEP_DENSITIES = (0.25, 0.5, 0.81)
+MAX_SWEEP_STEPS = 10 ** 6  # samples per density; refused above, before any is built
 
 
 @dataclass
@@ -69,8 +70,8 @@ def sweep_rows(density: float, steps: int) -> list:
     z0 = float(density)
     if not 0.0 < z0 < 1.0:
         raise DomainError(f"d/n must lie in (0, 1), got {z0}")
-    if steps < 2:
-        raise DomainError(f"steps must be at least 2, got {steps}")
+    if not 2 <= steps <= MAX_SWEEP_STEPS:
+        raise DomainError(f"steps must lie in [2, {MAX_SWEEP_STEPS}], got {steps}")
     start = (math.floor(math.sqrt(z0) * 10 ** 4) + 1) / 10 ** 4
     xs = [start + i * (1.0 - start) / (steps - 1) for i in range(steps)]
     xs.append((1.0 + z0) / 2.0)
@@ -119,16 +120,17 @@ def cmd_bound(args) -> int:
     if args.dplus is None and args.dminus is None:
         print("error: bound needs --dplus and/or --dminus", file=sys.stderr)
         return 2
-    print(f"n = {p.n}  m = {args.m}  d = {_frac(p.d)}")
+    # Every value is computed before the first line is printed, so a
+    # domain error exits 2 with empty stdout.
+    lines = [f"n = {p.n}  m = {args.m}  d = {_frac(p.d)}"]
     if args.dplus is not None:
-        low = bounds.d_minus_bound(p, args.dplus)
-        ell = bounds.ell_min(p, args.dplus)
-        print(f"d_plus  = {float(args.dplus):.6g}")
-        print(f"d_minus = {low:.6g}")
-        print(f"ell_min = {ell:.6g}")
+        lines += [f"d_plus  = {float(args.dplus):.6g}",
+                  f"d_minus = {bounds.d_minus_bound(p, args.dplus):.6g}",
+                  f"ell_min = {bounds.ell_min(p, args.dplus):.6g}"]
     if args.dminus is not None:
         up = bounds.symmetric_d_plus(p, args.dminus)
-        print(f"symmetric window for d_minus = {float(args.dminus):.6g}: d_plus = {up:.6g}")
+        lines.append(f"symmetric window for d_minus = {float(args.dminus):.6g}: d_plus = {up:.6g}")
+    print("\n".join(lines))
     return 0
 
 
@@ -149,9 +151,8 @@ def cmd_sweep(args) -> int:
 def cmd_opt(args) -> int:
     p = GraphParams(args.n, args.m)
     sol = optim.closed_form_solution(p, args.dplus)
-    grid = optim.solve_grid(p, args.dplus, coarse_steps=args.steps, refine_rounds=5)
-    worst = max(abs(v) for v in sol.residuals.values() if v < 0) if any(
-        v < 0 for v in sol.residuals.values()) else 0.0
+    grid = optim.solve_grid(p, args.dplus)
+    worst = max((-v for v in sol.residuals.values() if v < 0), default=0.0)
     print(f"closed form: d_minus = {sol.d_minus:.6g}  dbar_plus = {sol.dbar_plus:.6g}"
           f"  x = {sol.x:.6g}  (feasible: {sol.feasible}, worst residual {worst:.3g})")
     print(f"grid oracle: d_minus = {grid.objective:.6g}")
@@ -262,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--dplus", type=_rational, required=True)
-    sp.add_argument("--steps", type=int, default=120)
 
     sp = add("verify", cmd_verify, "exhaustive and oracle verification suites")
     sp.add_argument("--mode", choices=("t1", "t2", "opt"), required=True)

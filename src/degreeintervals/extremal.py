@@ -85,9 +85,10 @@ def build_near_extremal(n: int, m: int, d_plus) -> ConstructionResult:
     The clique size starts at round(x* n), where x* comes from the
     closed-form optimal point, and is reduced until the clique fits in m
     edges and every clique vertex can reach degree ceil(d_plus) through
-    cross edges.  Cross edges are then dealt one at a time from the
-    least-loaded clique vertex to the least-loaded independent vertex,
-    which keeps the independent side balanced.  The total is clamped to
+    cross edges.  Cross edges are then dealt one at a time: the k-th
+    starts at clique vertex k mod a, so both sides stay balanced, and
+    ends at the least-loaded independent vertex not yet adjacent to it,
+    ties toward the lower index.  The total is clamped to
     the cross capacity, so the achieved edge count can fall short of m
     near the domain boundary; the shortfall shows up in the gap report.
     """
@@ -115,15 +116,11 @@ def build_near_extremal(n: int, m: int, d_plus) -> ConstructionResult:
         for j in range(i + 1, a):
             g.add_edge(i, j)
     cross_total = min(max(m - a * (a - 1) // 2, 0), a * b)
-    cross = [0] * a
     right_deg = [0] * b
-    right_of = [set() for _ in range(a)]
-    for _ in range(cross_total):
-        u = min((i for i in range(a) if cross[i] < b), key=lambda i: (cross[i], i))
-        j = min((j for j in range(b) if j not in right_of[u]),
-                key=lambda j: (right_deg[j], j))
-        right_of[u].add(j)
-        cross[u] += 1
+    for k in range(cross_total):
+        u = k % a
+        # min keeps the first of equal keys, so ties go to the lower index
+        j = min((j for j in range(b) if not g.has_edge(u, a + j)), key=right_deg.__getitem__)
         right_deg[j] += 1
         g.add_edge(u, a + j)
 

@@ -32,11 +32,8 @@ from .errors import DomainError, InfeasibleSearchError
 from .params import GraphParams
 
 X_EDGE = 1e-9  # keep x away from 1 so the mixture identity can be solved
-
-
-def default_tolerance(p: GraphParams) -> float:
-    """Scale-aware feasibility tolerance; constraint magnitudes grow with n."""
-    return 1e-9 * p.n
+GRID_STEPS = 120  # grid points per axis in every round of `solve_grid`
+REFINE_ROUNDS = 5  # shrink-and-rescan rounds after its coarse pass
 
 
 @dataclass(frozen=True)
@@ -72,28 +69,24 @@ def constraint_residuals(sol: OptSolution, p: GraphParams, d_plus) -> dict:
     }
 
 
-def check_feasible(sol: OptSolution, p: GraphParams, d_plus, tol: float | None = None):
-    """List of (constraint name, residual) pairs violated beyond tol."""
-    if tol is None:
-        tol = default_tolerance(p)
-    if tol <= 0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+def _violations(res: dict, p: GraphParams) -> list:
+    # Tolerance 1e-9 n: constraint magnitudes grow with n.
+    tol = 1e-9 * p.n
+    return [(name, value) for name, value in res.items()
+            if (abs(value) > tol if name == "mixture" else value < -tol)]
+
+
+def check_feasible(sol: OptSolution, p: GraphParams, d_plus) -> list:
+    """List of (constraint name, residual) pairs violated beyond 1e-9 n."""
+    return _violations(constraint_residuals(sol, p, d_plus), p)
+
+
+def _with_feasibility(sol: OptSolution, p: GraphParams, d_plus) -> OptSolution:
     res = constraint_residuals(sol, p, d_plus)
-    out = []
-    for name, value in res.items():
-        bad = abs(value) > tol if name == "mixture" else value < -tol
-        if bad:
-            out.append((name, value))
-    return out
+    return replace(sol, residuals=res, feasible=not _violations(res, p))
 
 
-def _with_feasibility(sol: OptSolution, p: GraphParams, d_plus, tol: float) -> OptSolution:
-    res = constraint_residuals(sol, p, d_plus)
-    bad = check_feasible(sol, p, d_plus, tol)
-    return replace(sol, residuals=res, feasible=not bad)
-
-
-def closed_form_solution(p: GraphParams, d_plus, tol: float | None = None) -> OptSolution:
+def closed_form_solution(p: GraphParams, d_plus) -> OptSolution:
     """Optimal point of the relaxation.
 
     Below the sqrt(d n) threshold: (0, 0, sqrt(d n), sqrt(d/n)).  Above
@@ -102,8 +95,6 @@ def closed_form_solution(p: GraphParams, d_plus, tol: float | None = None) -> Op
     tight.
     """
     require_window_domain(p, d_plus)
-    if tol is None:
-        tol = default_tolerance(p)
     d = float(p.d)
     if not is_above_sqrt_dn(p, d_plus):
         sol = OptSolution(0.0, 0.0, math.sqrt(d * p.n), math.sqrt(d / p.n))
@@ -111,35 +102,21 @@ def closed_form_solution(p: GraphParams, d_plus, tol: float | None = None) -> Op
         v = d_minus_bound(p, d_plus)
         s = _window_sqrt(p, d_plus)
         sol = OptSolution(v, v, float(d_plus), (float(d_plus) - s) / p.n)
-    return _with_feasibility(sol, p, d_plus, tol)
+    return _with_feasibility(sol, p, d_plus)
 
 
-def solve_grid(p: GraphParams, d_plus, coarse_steps: int = 160,
-               refine_rounds: int = 5, tol: float | None = None) -> OptSolution:
+def solve_grid(p: GraphParams, d_plus) -> OptSolution:
     """Dense grid minimizer over (x, dbar_plus) with window refinement.
 
     dbar_minus is eliminated through the mixture identity and d_minus is
-    set equal to it.  Each round scans a coarse_steps x coarse_steps
-    grid, keeps the feasible minimum, then shrinks the window around the
-    incumbent by a factor of 10; a second refinement pass runs along the
+    set equal to it.  A coarse GRID_STEPS x GRID_STEPS scan is followed
+    by REFINE_ROUNDS rounds that shrink the window around the incumbent
+    by a factor of 10 and rescan; a second refinement pass runs along the
     dbar_plus lower edge, where the joint window is prone to stalling.
     Ties break toward smaller x, then smaller dbar_plus, so the result
     is deterministic.
-
-    Parameters
-    ----------
-    coarse_steps : grid points per axis, at least 100.
-    refine_rounds : shrink-and-rescan rounds after the coarse pass, at least 3.
-    tol : feasibility tolerance, default 1e-9 * n.
     """
     require_window_domain(p, d_plus)
-    if coarse_steps < 100:
-        raise DomainError(f"coarse_steps must be >= 100, got {coarse_steps}")
-    if refine_rounds < 3:
-        raise DomainError(f"refine_rounds must be >= 3, got {refine_rounds}")
-    if tol is None:
-        tol = default_tolerance(p)
-
     n = p.n
     d = float(p.d)
     dpf = float(d_plus)
@@ -149,12 +126,12 @@ def solve_grid(p: GraphParams, d_plus, coarse_steps: int = 160,
     b_lo, b_hi = b_bounds
     best = None  # (objective, x, dbar_plus)
 
-    for _ in range(refine_rounds + 1):
-        xs = np.linspace(x_lo, x_hi, coarse_steps)
+    for _ in range(REFINE_ROUNDS + 1):
+        xs = np.linspace(x_lo, x_hi, GRID_STEPS)
         # Keep the admissible lower edge of dbar_plus sampled in every
         # round; window refinement around the incumbent can otherwise
         # strand a minimizer sitting exactly on that boundary.
-        bs = np.unique(np.append(np.linspace(b_lo, b_hi, coarse_steps), b_bounds[0]))
+        bs = np.unique(np.append(np.linspace(b_lo, b_hi, GRID_STEPS), b_bounds[0]))
         X, B = np.meshgrid(xs, bs, indexing="ij")
         dbar_minus = (d - X * B) / (1.0 - X)
         cross = (1.0 - X) * dbar_minus - (B - X * n) * X
@@ -184,8 +161,8 @@ def solve_grid(p: GraphParams, d_plus, coarse_steps: int = 160,
     # cannot strand.  Merged with the joint result at the end.
     edge_best = None
     x_lo, x_hi = x_bounds
-    for _ in range(refine_rounds + 1):
-        xs = np.linspace(x_lo, x_hi, coarse_steps)
+    for _ in range(REFINE_ROUNDS + 1):
+        xs = np.linspace(x_lo, x_hi, GRID_STEPS)
         dbar_minus = (d - xs * dpf) / (1.0 - xs)
         cross = (1.0 - xs) * dbar_minus - (dpf - xs * n) * xs
         feas = (dbar_minus >= 0.0) & (cross >= 0.0)
@@ -207,7 +184,7 @@ def solve_grid(p: GraphParams, d_plus, coarse_steps: int = 160,
             f"no feasible grid point for n={n}, d={p.d}, d_plus={d_plus}")
     val, bx, bb = best
     sol = OptSolution(val, val, bb, bx)
-    return _with_feasibility(sol, p, d_plus, tol)
+    return _with_feasibility(sol, p, d_plus)
 
 
 def d_plus_test_grid(p: GraphParams, count: int = 12) -> list:
@@ -264,7 +241,7 @@ def oracle_summary(grid: str) -> list:
         worst, feasible = 0.0, True
         for dp in d_plus_test_grid(p, count):
             closed = closed_form_solution(p, dp)
-            sol = solve_grid(p, dp, coarse_steps=120, refine_rounds=5)
+            sol = solve_grid(p, dp)
             worst = max(worst, abs(sol.objective - closed.objective))
             feasible = feasible and closed.feasible
         rows.append(OracleRow(p, worst, 1e-3 * p.n, feasible))
@@ -273,6 +250,5 @@ def oracle_summary(grid: str) -> list:
 
 __all__ = [
     "OptSolution", "OracleRow", "constraint_residuals", "check_feasible",
-    "closed_form_solution", "solve_grid", "default_tolerance",
-    "d_plus_test_grid", "reference_cells", "oracle_summary",
+    "closed_form_solution", "solve_grid", "d_plus_test_grid", "reference_cells", "oracle_summary",
 ]

@@ -63,14 +63,10 @@ def _eg_ok(s: tuple) -> bool:
 
 
 def is_graphical(degrees) -> bool:
-    """True iff some simple graph has exactly these degrees."""
-    s = as_degree_sequence(degrees)
-    n = len(s)
-    if n == 0:
-        return True
-    if s[0] > n - 1:
-        raise DomainError(f"degree {s[0]} exceeds n-1 = {n - 1}")
-    return _eg_ok(s)
+    """True iff some simple graph has exactly these degrees.
+
+    A degree above n-1 fails the first Erdos-Gallai inequality."""
+    return _eg_ok(as_degree_sequence(degrees))
 
 
 def realize(degrees) -> Graph:
@@ -126,9 +122,12 @@ def enumerate_graphical(n: int, m: int) -> Iterator[DegreeSequence]:
             yield seq
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _sequence_matrix(n: int, m: int) -> np.ndarray:
-    """`enumerate_graphical(n, m)` as a cached int64 matrix, one row each."""
+    """`enumerate_graphical(n, m)` as an int64 matrix, one row each.
+
+    Only the last (n, m) is kept: every scan runs over m outermost and
+    over d_plus innermost, so each matrix is reused while it is current."""
     rows = list(enumerate_graphical(n, m))
     return np.array(rows, dtype=np.int64).reshape(len(rows), n)
 

@@ -140,7 +140,7 @@ def test_04_relaxation_vs_grid_oracle():
     for p in reference_cells():
         for dp in d_plus_test_grid(p):
             closed = opt_value(p, dp)
-            sol = solve_grid(p, dp, coarse_steps=120, refine_rounds=5)
+            sol = solve_grid(p, dp)
             worst = max(worst, abs(sol.objective - closed) / p.n)
             assert sol.objective >= closed - 1e-9 * p.n
             cf = closed_form_solution(p, dp)

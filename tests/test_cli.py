@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from degreeintervals import Graph, format_edge_list, sequences
-from degreeintervals.cli import main, read_sweep_csv, sweep_rows
+from degreeintervals import DomainError, Graph, cli, format_edge_list, sequences
+from degreeintervals.cli import MAX_SWEEP_STEPS, main, read_sweep_csv, sweep_rows
 
 
 def run(capsys, *argv):
@@ -68,6 +68,13 @@ class TestBound:
             assert rc == 2 and out == "", argv
             assert "1/0" in err and "Traceback" not in err, argv
 
+    def test_domain_error_prints_nothing(self, capsys):
+        # --dplus is valid, --dminus = 2 lies outside [0, d) = [0, 1.5)
+        rc, out, err = run(capsys, "bound", "--n", "4", "--m", "3",
+                           "--dplus", "3", "--dminus", "2")
+        assert rc == 2 and out == ""
+        assert "d_minus" in err
+
     def test_needs_a_bound_flag(self, capsys):
         rc, _, err = run(capsys, "bound", "--n", "4", "--m", "3")
         assert rc == 2
@@ -100,6 +107,17 @@ class TestSweep:
     def test_bad_density(self, capsys):
         rc, _, err = run(capsys, "sweep", "1.5", "--steps", "5")
         assert rc == 2
+
+    def test_oversized_steps_refused_before_sampling(self, capsys, monkeypatch):
+        class NoMath:  # the first sample point needs math; refusal must come first
+            def __getattr__(self, name):
+                raise AssertionError("sampling started before the refusal")
+        monkeypatch.setattr(cli, "math", NoMath())
+        rc, out, err = run(capsys, "sweep", "0.5", "--steps", str(10 ** 11))
+        assert rc == 2 and out == ""
+        assert "steps" in err
+        with pytest.raises(DomainError):
+            sweep_rows(0.5, MAX_SWEEP_STEPS + 1)
 
 
 class TestVerify:
@@ -174,6 +192,10 @@ class TestConstructionCommands:
         rc, out, _ = run(capsys, "check-seq", "--seq", "3,3,1,1")
         assert rc == 1 and "not graphical" in out
 
+    def test_check_seq_degree_above_order(self, capsys):
+        rc, out, _ = run(capsys, "check-seq", "--seq", "5,1")
+        assert rc == 1 and out == "5,1: not graphical\n"
+
 
 class TestPeel:
     def test_complete_graph_trace(self, capsys, tmp_path):
@@ -200,6 +222,12 @@ class TestOpt:
         assert rc == 0
         assert "12.1637" in out
         assert "difference" in out
+
+    def test_grid_size_is_not_an_option(self, capsys):
+        rc, out, err = run(capsys, "opt", "--n", "100", "--m", "1250", "--dplus", "60",
+                           "--steps", "100")
+        assert rc == 2 and out == ""
+        assert "--steps" in err
 
 
 def test_unknown_command_exits_two(capsys):

@@ -122,6 +122,18 @@ class TestNearExtremal:
         assert len(clique) == 26 and res.gap_report["clique_reduction"] == 1.0
         assert res.gap_report["high_side_min_degree"] == 0.0
 
+    def test_cross_deal_wraps_past_lcm(self):
+        # clique a = 4 (reduced from 5), independent side b = 6, 21 cross
+        # edges: the round-robin deal wraps past lcm(4, 6) = 12, where the
+        # least-loaded right vertex is already adjacent to the dealer
+        res = build_near_extremal(10, 27, 8)
+        assert res.gap_report["clique_reduction"] == 1.0
+        assert res.graph.edges() == [
+            (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8), (0, 9),
+            (1, 2), (1, 3), (1, 4), (1, 5), (1, 7), (1, 8), (1, 9),
+            (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8),
+            (3, 4), (3, 5), (3, 6), (3, 7), (3, 9)]
+
     def test_structure_is_split(self):
         res = build_near_extremal(100, 1250, 60)
         g = res.graph

@@ -65,52 +65,42 @@ class TestFeasibilityChecking:
         assert abs(res["mixture"]) <= 1e-9 * p.n
         assert res["low"] >= -1e-12 and res["high"] >= -1e-12 and res["box"] > 0
 
-    def test_tolerance_must_be_positive(self):
-        p = GraphParams(4, 3)
-        sol = closed_form_solution(p, 3)
-        with pytest.raises(DomainError):
-            check_feasible(sol, p, 3, tol=0.0)
-
 
 class TestGridSolver:
     def test_agrees_with_closed_form(self):
         p = GraphParams(100, 1250)
-        sol = solve_grid(p, 60, coarse_steps=120, refine_rounds=5)
+        sol = solve_grid(p, 60)
         assert abs(sol.objective - opt_value(p, 60)) <= 1e-3
         assert sol.feasible
 
     def test_zero_branch(self):
         p = GraphParams(100, 1250)
-        sol = solve_grid(p, 40, coarse_steps=120, refine_rounds=5)
+        sol = solve_grid(p, 40)
         assert sol.objective <= 1e-3
 
     def test_small_instance(self):
-        sol = solve_grid(GraphParams(4, 3), 3, coarse_steps=120, refine_rounds=5)
+        sol = solve_grid(GraphParams(4, 3), 3)
         assert sol.objective == pytest.approx(0.8038, abs=1e-3)
 
     def test_never_undershoots_closed_form(self):
         for n, m, dp in [(20, 50, 16.0), (50, 500, 40.0), (100, 1250, 60),
                          (100, 1250, 40), (100, 4500, 97.0)]:
             p = GraphParams(n, m)
-            sol = solve_grid(p, dp, coarse_steps=100, refine_rounds=3)
+            sol = solve_grid(p, dp)
             assert sol.objective >= opt_value(p, dp) - 1e-9 * n
 
     def test_low_means_coincide(self):
-        sol = solve_grid(GraphParams(50, 500), 35.0, coarse_steps=120, refine_rounds=5)
+        sol = solve_grid(GraphParams(50, 500), 35.0)
         assert sol.d_minus == sol.dbar_minus
 
     def test_deterministic(self):
         p = GraphParams(20, 50)
-        a = solve_grid(p, 15.0, coarse_steps=110, refine_rounds=4)
-        b = solve_grid(p, 15.0, coarse_steps=110, refine_rounds=4)
+        a = solve_grid(p, 15.0)
+        b = solve_grid(p, 15.0)
         assert (a.objective, a.x, a.dbar_plus) == (b.objective, b.x, b.dbar_plus)
 
     def test_parameter_validation(self):
         p = GraphParams(20, 50)
-        with pytest.raises(DomainError):
-            solve_grid(p, 15.0, coarse_steps=50)
-        with pytest.raises(DomainError):
-            solve_grid(p, 15.0, refine_rounds=2)
         with pytest.raises(DomainError):
             solve_grid(p, 4.0)  # below d
 
@@ -126,7 +116,7 @@ class TestDensityParams:
     def test_solver_runs_on_fractional_cells(self):
         p = GraphParams.from_density(50, Fraction(3, 4) * 50)
         dp = d_plus_test_grid(p)[6]
-        sol = solve_grid(p, dp, coarse_steps=100, refine_rounds=3)
+        sol = solve_grid(p, dp)
         assert abs(sol.objective - opt_value(p, dp)) <= 1e-3 * p.n
 
 

@@ -54,10 +54,11 @@ class TestIsGraphical:
         assert is_graphical([1, 2, 2, 1])
 
     def test_entry_out_of_range(self):
-        with pytest.raises(DomainError):
-            is_graphical((4, 1, 1, 1))
+        assert not is_graphical((4, 1, 1, 1))
         with pytest.raises(DomainError):
             is_graphical((2, -1, 1))
+        with pytest.raises(DomainError):
+            is_graphical((1.5, 0.5))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_against_brute_force(self, n):
