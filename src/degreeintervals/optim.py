@@ -17,15 +17,14 @@ class fraction:
 After eliminating dbar_minus through the mixture identity and setting
 d_minus = dbar_minus (forced at an optimum), two degrees of freedom
 remain, so an exhaustive grid over (x, dbar_plus) with window refinement
-is a trustworthy check.
+is a trustworthy check.  `solve_grid` is the package's only numpy user
+and imports it when called, so importing the package does not load it.
 """
 
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
-
-import numpy as np
 
 from .bounds import d_minus_bound, is_above_sqrt_dn, require_window_domain, _window_sqrt
 from .errors import DomainError, InfeasibleSearchError
@@ -116,6 +115,8 @@ def solve_grid(p: GraphParams, d_plus) -> OptSolution:
     Ties break toward smaller x, then smaller dbar_plus, so the result
     is deterministic.
     """
+    import numpy as np
+
     require_window_domain(p, d_plus)
     n = p.n
     d = float(p.d)

@@ -5,7 +5,9 @@ verification runs over graphical degree sequences instead of labeled
 graphs (16016 graphical sequences of length 10, versus 2^45 labeled
 graphs).  Sequences are plain non-increasing tuples of ints; candidate
 sequences are generated as bounded partitions of the degree sum and kept
-when they pass the Erdos-Gallai inequalities.
+when they pass the Erdos-Gallai inequalities.  The scans read each
+sequence's degree set as an int bitmask, since both guarantees only ask
+whether some degree falls in an integer band.
 
 Wire formats shared with the command line: a degree sequence is one line
 of comma-separated integers; graphs use the edge-list format of
@@ -17,8 +19,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional
-
-import numpy as np
 
 from .bounds import (extremal_profile, half_order_interval, half_order_thresholds,
                      require_above_root, require_window_domain, window_thresholds)
@@ -123,31 +123,39 @@ def enumerate_graphical(n: int, m: int) -> Iterator[DegreeSequence]:
 
 
 @lru_cache(maxsize=1)
-def _sequence_matrix(n: int, m: int) -> np.ndarray:
-    """`enumerate_graphical(n, m)` as an int64 matrix, one row each.
+def _degree_sets(n: int, m: int) -> tuple:
+    """(sequences, masks): `enumerate_graphical(n, m)` as a tuple, and the
+    degree set of each sequence as an int whose bit k is set iff degree k
+    occurs in it.
 
     Only the last (n, m) is kept: every scan runs over m outermost and
-    over d_plus innermost, so each matrix is reused while it is current."""
-    rows = list(enumerate_graphical(n, m))
-    return np.array(rows, dtype=np.int64).reshape(len(rows), n)
+    over d_plus innermost, so each pair is reused while it is current."""
+    seqs = tuple(enumerate_graphical(n, m))
+    return seqs, [sum(1 << d for d in set(s)) for s in seqs]
 
 
 def graphical_sequences(n: int, m: int) -> tuple:
-    """Tuple of `enumerate_graphical(n, m)`, read from the cached matrix."""
-    return tuple(map(tuple, _sequence_matrix(n, m).tolist()))
+    """Tuple of `enumerate_graphical(n, m)`, read from the cache."""
+    return _degree_sets(n, m)[0]
+
+
+def _band(a: int, b: int) -> int:
+    # Degree-set mask of the integers in [a, b], for a >= 0; 0 when empty.
+    return (1 << (b + 1)) - (1 << a) if a <= b else 0
 
 
 def _band_scan(n: int, m: int, lo: int, lo_strict: int, hi: int, hi_strict: int) -> tuple:
     """(count, violations, extremal, low_max) over the graphical sequences
     of length n, sum 2m: those with no degree in [lo, hi], those with none
     in [lo_strict, hi_strict], and the least largest degree <= hi_strict.
-    The one reader of the enumeration matrix; a row has a degree in [a, b]
-    iff its largest degree <= b is >= a."""
-    arr = _sequence_matrix(n, m)
-    top_strict = np.where(arr <= hi_strict, arr, -1).max(axis=1)
-    top = top_strict if hi == hi_strict else np.where(arr <= hi, arr, -1).max(axis=1)
-    return (len(arr), [tuple(r) for r in arr[top < lo].tolist()],
-            [tuple(r) for r in arr[top_strict < lo_strict].tolist()], int(top_strict.min()))
+    The one reader of the enumeration cache; a sequence has a degree in
+    [a, b] iff its degree set meets that band.  The strict band lies
+    inside the closed one, so every violation is also extremal."""
+    seqs, masks = _degree_sets(n, m)
+    strict, closed, below = _band(lo_strict, hi_strict), _band(lo, hi), _band(0, hi_strict)
+    extremal = [(s, k) for s, k in zip(seqs, masks) if not k & strict]
+    return (len(seqs), [s for s, k in extremal if not k & closed], [s for s, _ in extremal],
+            min(map(below.__and__, masks)).bit_length() - 1)
 
 
 def empirical_d_minus(n: int, m: int, d_plus) -> int:
@@ -295,11 +303,12 @@ def peel_trace(g: Graph) -> list:
     """
     adj = [g.neighbors(v) for v in range(g.n)]
     deg = [len(a) for a in adj]
+    edges = sum(deg) // 2
     alive = list(range(g.n))
     steps = []
     while alive:
         if len(alive) >= 2:
-            p = GraphParams(len(alive), sum(deg[v] for v in alive) // 2)
+            p = GraphParams(len(alive), edges)
             iv = half_order_interval(p)
             lo, _, hi, _ = half_order_thresholds(p)
         else:
@@ -308,6 +317,7 @@ def peel_trace(g: Graph) -> list:
         if pick is None:
             raise RuntimeError("no vertex degree in the guaranteed interval")
         steps.append(PeelStep(pick, deg[pick], iv))
+        edges -= deg[pick]
         for u in adj[pick]:
             adj[u].discard(pick)
             deg[u] -= 1

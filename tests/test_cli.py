@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import degreeintervals
 from degreeintervals import DomainError, Graph, cli, format_edge_list, sequences
 from degreeintervals.cli import MAX_SWEEP_STEPS, main, read_sweep_csv, sweep_rows
 
@@ -232,3 +237,23 @@ class TestOpt:
 
 def test_unknown_command_exits_two(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_numpy_stays_off_the_import_path(tmp_path):
+    # Only the grid oracle needs numpy; a fresh interpreter shows what the
+    # package and these commands import.
+    script = """
+import sys
+import degreeintervals
+from degreeintervals.cli import main
+for argv in (["verify", "--mode", "t1", "--nmax", "6"], ["check-seq", "--seq", "3,3,1,1"],
+             ["realize", "--seq", "3,1,1,1"], ["extremal", "--n", "4", "--m", "3"]):
+    main(argv)
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+    src = str(Path(degreeintervals.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

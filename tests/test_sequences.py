@@ -29,6 +29,7 @@ from degreeintervals import (
     verify_window,
     window_grid,
 )
+from degreeintervals.bounds import half_order_thresholds, window_thresholds
 
 
 def brute_force_degree_sequences(n):
@@ -241,6 +242,47 @@ class TestVerifyWindow:
                     rep = verify_window(n, m, dp)
                     assert rep.violations == [], (n, m, dp)
                     assert rep.bound_ok, (n, m, dp)
+
+
+def reference_band_scan(n, m, lo, lo_strict, hi, hi_strict):
+    """Violations, extremal sequences and the least largest degree <=
+    hi_strict, decided degree by degree on a fresh enumeration."""
+    seqs = list(enumerate_graphical(n, m))
+    violations = [s for s in seqs if not any(lo <= d <= hi for d in s)]
+    extremal = [s for s in seqs if not any(lo_strict <= d <= hi_strict for d in s)]
+    low_max = min(max((d for d in s if d <= hi_strict), default=-1) for s in seqs)
+    return violations, extremal, low_max
+
+
+class TestBandScanAgainstReference:
+    def test_half_order_cells(self):
+        _, lo_strict, _, hi_strict = half_order_thresholds(GraphParams(2, 1))
+        assert lo_strict > hi_strict  # n = 2: the strict band is empty
+        for n in range(2, 9):
+            for m in range(0, n * (n - 1) // 2 + 1):
+                violations, extremal, _ = reference_band_scan(
+                    n, m, *half_order_thresholds(GraphParams(n, m)))
+                rep = verify_half_order(n, m)
+                assert rep.violations == violations, (n, m)
+                assert rep.extremal_sequences == extremal, (n, m)
+
+    def test_window_cells(self):
+        for n in range(3, 9):
+            for m in range(1, n * (n - 1) // 2):
+                for dp in window_grid(n, m):
+                    violations, extremal, low_max = reference_band_scan(
+                        n, m, *window_thresholds(GraphParams(n, m), dp))
+                    rep = verify_window(n, m, dp)
+                    assert rep.violations == violations, (n, m, dp)
+                    assert rep.extremal_sequences == extremal, (n, m, dp)
+                    assert rep.empirical_d_minus == low_max, (n, m, dp)
+                    assert empirical_d_minus(n, m, dp) == low_max, (n, m, dp)
+
+    def test_sequences_are_tuples_of_python_ints(self):
+        for n in range(2, 8):
+            for m in range(0, n * (n - 1) // 2 + 1):
+                for s in graphical_sequences(n, m):
+                    assert type(s) is tuple and all(type(d) is int for d in s), s
 
 
 class TestFindVertexAndPeel:
