@@ -152,9 +152,9 @@ def cmd_opt(args) -> int:
     p = GraphParams(args.n, args.m)
     sol = optim.closed_form_solution(p, args.dplus)
     grid = optim.solve_grid(p, args.dplus)
-    worst = max((-v for v in sol.residuals.values() if v < 0), default=0.0)
     print(f"closed form: d_minus = {sol.d_minus:.6g}  dbar_plus = {sol.dbar_plus:.6g}"
-          f"  x = {sol.x:.6g}  (feasible: {sol.feasible}, worst residual {worst:.3g})")
+          f"  x = {sol.x:.6g}  (feasible: {sol.feasible},"
+          f" worst residual {sol.worst_residual:.3g})")
     print(f"grid oracle: d_minus = {grid.objective:.6g}")
     print(f"difference : {abs(grid.objective - sol.objective):.3g}")
     return 0

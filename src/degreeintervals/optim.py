@@ -17,8 +17,11 @@ class fraction:
 After eliminating dbar_minus through the mixture identity and setting
 d_minus = dbar_minus (forced at an optimum), two degrees of freedom
 remain, so an exhaustive grid over (x, dbar_plus) with window refinement
-is a trustworthy check.  `solve_grid` is the package's only numpy user
-and imports it when called, so importing the package does not load it.
+is a trustworthy check.  One shrink-and-rescan loop does the search; it
+runs on dbar_plus in [d_plus, n] and again on the one-point range
+[d_plus, d_plus], the edge where the joint window can stall.
+`solve_grid` is the package's only numpy user and imports it when
+called, so importing the package does not load it.
 """
 
 import math
@@ -50,6 +53,12 @@ class OptSolution:
     def objective(self) -> float:
         return self.d_minus
 
+    @property
+    def worst_residual(self) -> float:
+        """Largest amount by which `residuals` (which must be set) breach
+        a constraint, 0.0 when none does."""
+        return max([0.0, *(_excess(name, value) for name, value in self.residuals.items())])
+
 
 def constraint_residuals(sol: OptSolution, p: GraphParams, d_plus) -> dict:
     """Signed slack of each constraint (negative means violated).
@@ -68,11 +77,16 @@ def constraint_residuals(sol: OptSolution, p: GraphParams, d_plus) -> dict:
     }
 
 
+def _excess(name: str, value: float) -> float:
+    # How far a residual lies outside its constraint (<= 0 when it holds):
+    # the mixture identity is breached by a deviation of either sign.
+    return abs(value) if name == "mixture" else -value
+
+
 def _violations(res: dict, p: GraphParams) -> list:
     # Tolerance 1e-9 n: constraint magnitudes grow with n.
     tol = 1e-9 * p.n
-    return [(name, value) for name, value in res.items()
-            if (abs(value) > tol if name == "mixture" else value < -tol)]
+    return [(name, value) for name, value in res.items() if _excess(name, value) > tol]
 
 
 def check_feasible(sol: OptSolution, p: GraphParams, d_plus) -> list:
@@ -110,10 +124,10 @@ def solve_grid(p: GraphParams, d_plus) -> OptSolution:
     dbar_minus is eliminated through the mixture identity and d_minus is
     set equal to it.  A coarse GRID_STEPS x GRID_STEPS scan is followed
     by REFINE_ROUNDS rounds that shrink the window around the incumbent
-    by a factor of 10 and rescan; a second refinement pass runs along the
-    dbar_plus lower edge, where the joint window is prone to stalling.
-    Ties break toward smaller x, then smaller dbar_plus, so the result
-    is deterministic.
+    by a factor of 10 and rescan.  That loop runs twice, over dbar_plus
+    in [d_plus, n] and over the one-point range [d_plus, d_plus]; the
+    smaller result wins, the joint one on a tie.  Ties break toward
+    smaller x, then smaller dbar_plus, so the result is deterministic.
     """
     import numpy as np
 
@@ -122,68 +136,49 @@ def solve_grid(p: GraphParams, d_plus) -> OptSolution:
     d = float(p.d)
     dpf = float(d_plus)
     x_bounds = (X_EDGE, 1.0 - X_EDGE)
-    b_bounds = (dpf, float(n))
-    x_lo, x_hi = x_bounds
-    b_lo, b_hi = b_bounds
-    best = None  # (objective, x, dbar_plus)
 
-    for _ in range(REFINE_ROUNDS + 1):
-        xs = np.linspace(x_lo, x_hi, GRID_STEPS)
-        # Keep the admissible lower edge of dbar_plus sampled in every
-        # round; window refinement around the incumbent can otherwise
-        # strand a minimizer sitting exactly on that boundary.
-        bs = np.unique(np.append(np.linspace(b_lo, b_hi, GRID_STEPS), b_bounds[0]))
-        X, B = np.meshgrid(xs, bs, indexing="ij")
-        dbar_minus = (d - X * B) / (1.0 - X)
-        cross = (1.0 - X) * dbar_minus - (B - X * n) * X
-        # Strict feasibility: tolerance-relaxed points could undercut the
-        # true optimum by more than the promised 1e-9*n floor.
-        feas = (dbar_minus >= 0.0) & (cross >= 0.0)
-        if feas.any():
-            obj = np.where(feas, dbar_minus, np.inf)
-            val = obj.min()
-            i, j = np.argwhere(obj == val)[0]  # row-major: smallest x, then dbar_plus
-            cand = (float(val), float(xs[i]), float(bs[j]))
-            if best is None or cand < best:
-                best = cand
-        cx = best[1] if best else 0.5 * (x_lo + x_hi)
-        cb = best[2] if best else 0.5 * (b_lo + b_hi)
-        wx = (x_hi - x_lo) / 10.0
-        wb = (b_hi - b_lo) / 10.0
-        x_lo = max(x_bounds[0], cx - wx / 2)
-        x_hi = min(x_bounds[1], cx + wx / 2)
-        b_lo = max(b_bounds[0], cb - wb / 2)
-        b_hi = min(b_bounds[1], cb + wb / 2)
+    def shrink_and_rescan(b_bounds):
+        x_lo, x_hi = x_bounds
+        b_lo, b_hi = b_bounds
+        best = None  # (objective, x, dbar_plus)
+        for _ in range(REFINE_ROUNDS + 1):
+            xs = np.linspace(x_lo, x_hi, GRID_STEPS)
+            # Keep the admissible lower edge of dbar_plus sampled in every
+            # round; window refinement around the incumbent can otherwise
+            # strand a minimizer sitting exactly on that boundary.
+            bs = np.unique(np.append(np.linspace(b_lo, b_hi, GRID_STEPS), b_bounds[0]))
+            X, B = xs[:, None], bs[None, :]  # broadcast to the (x, dbar_plus) grid
+            dbar_minus = (d - X * B) / (1.0 - X)
+            cross = (1.0 - X) * dbar_minus - (B - X * n) * X
+            # Strict feasibility: tolerance-relaxed points could undercut the
+            # true optimum by more than the promised 1e-9*n floor.
+            feas = (dbar_minus >= 0.0) & (cross >= 0.0)
+            if feas.any():
+                obj = np.where(feas, dbar_minus, np.inf)
+                # row-major: smallest x, then dbar_plus
+                i, j = np.unravel_index(np.argmin(obj), obj.shape)
+                cand = (float(obj[i, j]), float(xs[i]), float(bs[j]))
+                if best is None or cand < best:
+                    best = cand
+            cx = best[1] if best else 0.5 * (x_lo + x_hi)
+            cb = best[2] if best else 0.5 * (b_lo + b_hi)
+            wx = (x_hi - x_lo) / 10.0
+            wb = (b_hi - b_lo) / 10.0
+            x_lo = max(x_bounds[0], cx - wx / 2)
+            x_hi = min(x_bounds[1], cx + wx / 2)
+            b_lo = max(b_bounds[0], cb - wb / 2)
+            b_hi = min(b_bounds[1], cb + wb / 2)
+        return best
 
-    # Second pass: 1-D scan along the dbar_plus lower edge, with its own
-    # incumbent.  The joint window can stall on flat stretches of the
-    # cross-constraint boundary curve; in one variable the incumbent
-    # stays within one grid spacing of the edge optimum, so this pass
-    # cannot strand.  Merged with the joint result at the end.
-    edge_best = None
-    x_lo, x_hi = x_bounds
-    for _ in range(REFINE_ROUNDS + 1):
-        xs = np.linspace(x_lo, x_hi, GRID_STEPS)
-        dbar_minus = (d - xs * dpf) / (1.0 - xs)
-        cross = (1.0 - xs) * dbar_minus - (dpf - xs * n) * xs
-        feas = (dbar_minus >= 0.0) & (cross >= 0.0)
-        if feas.any():
-            obj = np.where(feas, dbar_minus, np.inf)
-            i = int(np.argmin(obj))
-            cand = (float(obj[i]), float(xs[i]), dpf)
-            if edge_best is None or cand < edge_best:
-                edge_best = cand
-        cx = edge_best[1] if edge_best else 0.5 * (x_lo + x_hi)
-        wx = (x_hi - x_lo) / 10.0
-        x_lo = max(x_bounds[0], cx - wx / 2)
-        x_hi = min(x_bounds[1], cx + wx / 2)
-    if edge_best is not None and (best is None or edge_best < best):
-        best = edge_best
-
-    if best is None:
+    # The edge pass exists because the joint window can stall on flat
+    # stretches of the cross-constraint boundary curve; with dbar_plus
+    # fixed, the incumbent stays within one grid spacing of the edge
+    # optimum, so that pass cannot strand.
+    found = [r for r in (shrink_and_rescan((dpf, float(n))), shrink_and_rescan((dpf, dpf))) if r]
+    if not found:
         raise InfeasibleSearchError(
             f"no feasible grid point for n={n}, d={p.d}, d_plus={d_plus}")
-    val, bx, bb = best
+    val, bx, bb = min(found)
     sol = OptSolution(val, val, bb, bx)
     return _with_feasibility(sol, p, d_plus)
 

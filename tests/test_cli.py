@@ -228,6 +228,17 @@ class TestOpt:
         assert "12.1637" in out
         assert "difference" in out
 
+    def test_worst_residual_counts_the_mixture_deviation(self, capsys):
+        # The mixture identity is off by +4.44e-16 here; the figure uses the
+        # same rule as the feasibility check, so it is not reported as 0.
+        rc, out, _ = run(capsys, "opt", "--n", "20", "--m", "20", "--dplus", "8")
+        assert rc == 0
+        assert out == (
+            "closed form: d_minus = 0.898979  dbar_plus = 8  x = 0.155051"
+            "  (feasible: True, worst residual 4.44e-16)\n"
+            "grid oracle: d_minus = 0.89898\n"
+            "difference : 1.55e-07\n")
+
     def test_grid_size_is_not_an_option(self, capsys):
         rc, out, err = run(capsys, "opt", "--n", "100", "--m", "1250", "--dplus", "60",
                            "--steps", "100")

@@ -104,6 +104,28 @@ class TestGridSolver:
         with pytest.raises(DomainError):
             solve_grid(p, 4.0)  # below d
 
+    @pytest.mark.parametrize("p, dp, objective, x, dbar_plus", [
+        # below the root; the joint (x, dbar_plus) pass wins
+        (GraphParams(20, 20), d_plus_test_grid(GraphParams(20, 20), 12)[0],
+         "0x1.77f17a0fa0b1cp-28", "0x1.18dac20fd0d48p-1", "0x1.d2b0a45a474aap+1"),
+        # the joint and the d_plus-edge passes tie
+        (GraphParams(20, 20), d_plus_test_grid(GraphParams(20, 20), 12)[4],
+         "0x1.eac983c6ab1a5p-1", "0x1.06832b8e80877p-3", "0x1.22aaaaaaaaaaap+3"),
+        # d_plus = 14.75: the edge pass wins
+        (GraphParams(20, 20), d_plus_test_grid(GraphParams(20, 20), 12)[8],
+         "0x1.05a5e677c65d3p+0", "0x1.23c96d521ecfap-4", "0x1.d800000000000p+3"),
+        (GraphParams(100, 1250), 40,
+         "0x1.9800023f38089p-42", "0x1.00000168ebef5p-1", "0x1.8ffffdcc0f5a0p+5"),
+        # the fractional cell of test_solver_runs_on_fractional_cells
+        (GraphParams.from_density(50, Fraction(3, 4) * 50), 43.75,
+         "0x1.2c00000d6bf97p+4", "0x1.7ffffffbb47d0p-1", "0x1.5e00000000000p+5"),
+    ])
+    def test_results_pinned_bit_for_bit(self, p, dp, objective, x, dbar_plus):
+        # The tolerance tests above would let a refactor move the oracle by
+        # an ulp; these exact values pin it.
+        sol = solve_grid(p, dp)
+        assert (sol.objective.hex(), sol.x.hex(), sol.dbar_plus.hex()) == (objective, x, dbar_plus)
+
 
 class TestDensityParams:
     def test_fractional_edge_count_allowed(self):
