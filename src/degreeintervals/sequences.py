@@ -72,27 +72,46 @@ def is_graphical(degrees) -> bool:
 def realize(degrees) -> Graph:
     """Deterministic realization of a graphical sequence.
 
-    Repeatedly connects the vertex with the largest residual degree to
-    the next-largest residuals (ties toward smaller index).  The sorted
-    degree list of the result equals the input sequence.
+    Havel-Hakimi: repeatedly connects the vertex with the largest
+    residual degree to the next-largest residuals (ties toward smaller
+    index).  The sorted degree list of the result equals the input
+    sequence.
+
+    Vertices are kept in residual-degree buckets, each in increasing
+    index order, so a step touches only the buckets it takes from: the
+    chosen vertex is the head of the highest non-empty bucket, its
+    neighbours are the heads of the buckets below it, and each taken
+    head moves one bucket down, merged in index order.  That is the
+    order a full sort by (-residual, index) gives, so the edges are the
+    same.  A step does O(max degree) Python work plus list copies of the
+    buckets it touches, where a sort of all n vertices per step cost
+    O(n^2 log n) in all; the Erdos-Gallai check stays O(n^2).
     """
     s = as_degree_sequence(degrees)
-    n = len(s)
-    if not is_graphical(s):
+    if not _eg_ok(s):
         raise NotGraphicalError(f"sequence {s} is not graphical")
-    g = Graph(n)
-    residual = list(s)
-    for _ in range(n):
-        order = sorted(range(n), key=lambda v: (-residual[v], v))
-        v = order[0]
-        if residual[v] == 0:
-            break
-        for u in order[1:residual[v] + 1]:
-            if residual[u] <= 0:
-                raise NotGraphicalError(f"sequence {s} is not graphical")
-            g.add_edge(v, u)
-            residual[u] -= 1
-        residual[v] = 0
+    g = Graph(len(s))
+    buckets = [[] for _ in range(max(s, default=0) + 1)]
+    for v, d in enumerate(s):
+        buckets[d].append(v)
+    top = len(buckets) - 1
+    while top:
+        if not buckets[top]:
+            top -= 1
+            continue
+        v = buckets[top].pop(0)
+        need, d, taken = top, top, []
+        while need:  # a graphical sequence never runs out above bucket 0
+            head = buckets[d][:need]
+            del buckets[d][:need]
+            taken.append((d, head))
+            need -= len(head)
+            d -= 1
+        for d, head in taken:
+            for u in head:
+                g.add_edge(v, u)
+            if d > 1:
+                buckets[d - 1] = sorted(head + buckets[d - 1])
     return g
 
 

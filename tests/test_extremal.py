@@ -6,6 +6,7 @@ import pytest
 
 from degreeintervals import (
     DomainError,
+    Graph,
     GraphParams,
     InfeasibleConstructionError,
     NotRealizableError,
@@ -16,7 +17,19 @@ from degreeintervals import (
     opt_value,
     verify_half_order,
 )
-from degreeintervals.extremal import _biregular_pairs
+from degreeintervals.extremal import _biregular_pairs, _deal_cross
+
+
+def min_scan_deal(g, a, b, total):
+    """Reference for `_deal_cross`: the same rule with an O(b) `min` over
+    the non-neighbours of each dealer (min keeps the first of equal keys,
+    so ties go to the lower index)."""
+    right_deg = [0] * b
+    for k in range(total):
+        u = k % a
+        j = min((j for j in range(b) if not g.has_edge(u, a + j)), key=right_deg.__getitem__)
+        right_deg[j] += 1
+        g.add_edge(u, a + j)
 
 
 def split_parity_ok(n, m):
@@ -133,6 +146,18 @@ class TestNearExtremal:
             (1, 2), (1, 3), (1, 4), (1, 5), (1, 7), (1, 8), (1, 9),
             (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8),
             (3, 4), (3, 5), (3, 6), (3, 7), (3, 9)]
+
+    def test_cross_deal_matches_min_scan(self):
+        # build_near_extremal deals `total` in [0, a*b] edges with a + b = n,
+        # and the deal reads only cross adjacency, so this is every deal of
+        # every feasible cell with n <= 16, wrap-arounds past lcm(a, b) included
+        for a in range(1, 16):
+            for b in range(1, 17 - a):
+                for total in range(a * b + 1):
+                    heap, scan = Graph(a + b), Graph(a + b)
+                    _deal_cross(heap, a, b, total)
+                    min_scan_deal(scan, a, b, total)
+                    assert heap.edges() == scan.edges(), (a, b, total)
 
     def test_structure_is_split(self):
         res = build_near_extremal(100, 1250, 60)

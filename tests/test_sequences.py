@@ -32,6 +32,25 @@ from degreeintervals import (
 from degreeintervals.bounds import half_order_thresholds, window_thresholds
 
 
+def resorting_realize(degrees):
+    """Reference for `realize`: the same rule with a full re-sort of every
+    vertex by (-residual, index) on each step, O(n^2 log n)."""
+    s = as_degree_sequence(degrees)
+    n = len(s)
+    g = Graph(n)
+    residual = list(s)
+    for _ in range(n):
+        order = sorted(range(n), key=lambda v: (-residual[v], v))
+        v = order[0]
+        if residual[v] == 0:
+            break
+        for u in order[1:residual[v] + 1]:
+            g.add_edge(v, u)
+            residual[u] -= 1
+        residual[v] = 0
+    return g
+
+
 def brute_force_degree_sequences(n):
     """Degree sequences of all 2^C(n,2) labeled graphs on n vertices."""
     pairs = list(itertools.combinations(range(n), 2))
@@ -93,6 +112,19 @@ class TestRealize:
     def test_rejects_non_graphical(self):
         with pytest.raises(NotGraphicalError):
             realize((3, 3, 1, 1))
+
+    def test_edge_lists_match_resorting_reference(self):
+        sequences = [(), (0,)] + [s for n in range(2, 8) for m in range(n * (n - 1) // 2 + 1)
+                                  for s in graphical_sequences(n, m)]
+        rng = random.Random(8)
+        for _ in range(300):
+            n, p = rng.randint(1, 40), rng.random()
+            g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+            degrees = g.degrees()
+            rng.shuffle(degrees)
+            sequences.append(degrees)
+        for s in sequences:
+            assert format_edge_list(realize(s)) == format_edge_list(resorting_realize(s)), s
 
 
 class TestEnumeration:
