@@ -42,24 +42,23 @@ def is_above_sqrt_dn(p: GraphParams, d_plus) -> bool:
     return Fraction(d_plus) ** 2 > p.d * p.n
 
 
-def _window_sqrt(p: GraphParams, d_plus) -> float:
-    """sqrt(d_plus^2 - d*n), with the argument formed exactly."""
-    return math.sqrt(Fraction(d_plus) ** 2 - p.d * p.n)
-
-
-def require_window_domain(p: GraphParams, d_plus):
-    """The window-domain check: 0 < d < n-1 and d < d_plus <= n-1."""
+def require_window_domain(p: GraphParams, d_plus) -> Fraction:
+    """The window-domain check: 0 < d < n-1 and d < d_plus <= n-1.  Returns
+    the exact d_plus^2 - d*n, positive iff d_plus > sqrt(d*n)."""
     _require_nondegenerate(p)
     if not p.d < d_plus <= p.n - 1:
         raise DomainError(f"d_plus={d_plus} outside (d, n-1] = ({p.d}, {p.n - 1}]")
+    return Fraction(d_plus) ** 2 - 2 * p.m  # d*n = 2m exactly
 
 
-def require_above_root(p: GraphParams, d_plus):
-    """The window-domain check, narrowed to sqrt(d*n) < d_plus <= n-1."""
-    require_window_domain(p, d_plus)
-    if not is_above_sqrt_dn(p, d_plus):
+def require_above_root(p: GraphParams, d_plus) -> Fraction:
+    """The window-domain check, narrowed to sqrt(d*n) < d_plus <= n-1;
+    returns the same exact d_plus^2 - d*n, here positive."""
+    disc = require_window_domain(p, d_plus)
+    if disc <= 0:
         raise DomainError(
             f"d_plus={d_plus} must exceed sqrt(d*n) = {math.sqrt(float(p.d * p.n)):.6g}")
+    return disc
 
 
 def half_order_interval(p: GraphParams) -> Interval:
@@ -121,17 +120,18 @@ def d_minus_bound(p: GraphParams, d_plus) -> float:
     which is the same value without subtractive cancellation and is
     nonnegative term by term.  Requires sqrt(d n) < d_plus <= n-1.
     """
-    require_above_root(p, d_plus)
-    s = _window_sqrt(p, d_plus)
+    return _d_minus(p, d_plus, math.sqrt(require_above_root(p, d_plus)))
+
+
+def _d_minus(p: GraphParams, d_plus, s: float) -> float:
+    # The `d_minus_bound` formula, for an already checked d_plus and its s.
     dpf = float(d_plus)
-    dn = float(p.d * p.n)
-    return s * dn / ((dpf + s) * (p.n - dpf + s))
+    return s * float(p.d * p.n) / ((dpf + s) * (p.n - dpf + s))
 
 
 def ell_min(p: GraphParams, d_plus) -> float:
     """Window length d_plus - d_minus = (d_plus - d) n / (n - d_plus + s)."""
-    require_above_root(p, d_plus)
-    s = _window_sqrt(p, d_plus)
+    s = math.sqrt(require_above_root(p, d_plus))
     dpf = float(d_plus)
     return (dpf - float(p.d)) * p.n / (p.n - dpf + s)
 
@@ -139,8 +139,8 @@ def ell_min(p: GraphParams, d_plus) -> float:
 def opt_value(p: GraphParams, d_plus) -> float:
     """Optimal value of the window relaxation: 0 up to sqrt(d*n), then
     the d_minus bound.  Defined for d < d_plus <= n-1."""
-    require_window_domain(p, d_plus)
-    return d_minus_bound(p, d_plus) if is_above_sqrt_dn(p, d_plus) else 0.0
+    disc = require_window_domain(p, d_plus)
+    return _d_minus(p, d_plus, math.sqrt(disc)) if disc > 0 else 0.0
 
 
 def window_thresholds(p: GraphParams, d_plus) -> tuple:
@@ -217,35 +217,35 @@ def complement_edge_count_slack(x, p: GraphParams, expanded: bool = False) -> Fr
     return (x * (n - 1) - p.d) * ((x - 1) * n + 1) / (n - 1)
 
 
-def _require_scaled_domain(z: float, z0: float):
+def _require_scaled_domain(z: float, z0: float) -> float:
+    # The domain 0 < z0 < 1, sqrt(z0) < z <= 1, decided on the float
+    # z*z - z0 whose root the scaled formulas take; returns that root.
     if not 0 < z0 < 1:
         raise DomainError(f"z0={z0} outside (0, 1)")
-    if z <= math.sqrt(z0):
-        raise DomainError(f"z={z} at or below the sqrt singularity sqrt(z0)={math.sqrt(z0):.6g}")
+    if not (0 < z <= 1 and z * z - z0 > 0):
+        raise DomainError(f"z={z} outside (sqrt(z0), 1] = ({math.sqrt(z0):.6g}, 1]")
+    return math.sqrt(z * z - z0)
 
 
 def scaled_d_minus(z: float, z0: float) -> float:
     """Window low end over n as a function of z = d_plus/n, z0 = d/n."""
-    _require_scaled_domain(z, z0)
-    s = math.sqrt(z * z - z0)
+    s = _require_scaled_domain(z, z0)
     return z - (z - z0) / (1.0 - z + s)
 
 
 def scaled_ell_min(z: float, z0: float) -> float:
     """Window length over n: (z - z0)/(1 - z + sqrt(z^2 - z0))."""
-    _require_scaled_domain(z, z0)
-    s = math.sqrt(z * z - z0)
+    s = _require_scaled_domain(z, z0)
     return (z - z0) / (1.0 - z + s)
 
 
 def scaled_d_minus_deriv(z: float, z0: float) -> float:
-    """Derivative of `scaled_d_minus` in z; nonnegative on the whole domain.
+    """Derivative of `scaled_d_minus` in z; nonnegative on its domain (sqrt(z0), 1].
 
     The numerator factor 2z^2 - z0 - 2z*sqrt(z^2 - z0) is evaluated as
     z0^2 / (2z^2 - z0 + 2z*sqrt(z^2 - z0)) (rationalized; the product of
     the two forms is z0^2), which keeps it positive in floating point.
     """
-    _require_scaled_domain(z, z0)
-    s = math.sqrt(z * z - z0)
+    s = _require_scaled_domain(z, z0)
     core = z0 * z0 / (2 * z * z - z0 + 2 * z * s)
     return (1.0 - z) * core / (s * (1.0 - z + s) ** 2)

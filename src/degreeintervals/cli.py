@@ -3,8 +3,8 @@
 Subcommands: interval, bound, sweep, opt, verify, extremal, peel,
 realize, check-seq.  Exit codes are stable across subcommands: 0 for
 success (all checks pass), 1 when a verification found a violation, 2 on
-invalid arguments or domain errors.  The environment variable
-DEGSEQ_MAX_N (default 10) caps the order of enumeration-backed commands.
+invalid arguments or domain errors.  `verify --mode t1/t2` scans orders
+up to the library limit `sequences.HARD_ORDER_LIMIT`.
 
 Human-readable numbers are printed with 6 significant digits and exact
 rationals as p/q; the sweep CSV carries full round-trip precision so the
@@ -13,7 +13,6 @@ curves can be checked and replotted without loss.
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,14 +33,6 @@ class SweepRow:
     d_over_n: float
     d_plus_over_n: float
     ell_min_over_n: float
-
-
-def _enumeration_cap() -> int:
-    raw = os.environ.get("DEGSEQ_MAX_N", "10")
-    try:
-        return int(raw)
-    except ValueError:
-        raise DomainError(f"DEGSEQ_MAX_N must be an integer, got {raw!r}") from None
 
 
 def _rational(text: str) -> Fraction:
@@ -73,7 +64,8 @@ def sweep_rows(density: float, steps: int) -> list:
     if not 2 <= steps <= MAX_SWEEP_STEPS:
         raise DomainError(f"steps must lie in [2, {MAX_SWEEP_STEPS}], got {steps}")
     start = (math.floor(math.sqrt(z0) * 10 ** 4) + 1) / 10 ** 4
-    xs = [start + i * (1.0 - start) / (steps - 1) for i in range(steps)]
+    # The last sample can round to 1 + 2^-52, past the domain's end at 1.
+    xs = [min(start + i * (1.0 - start) / (steps - 1), 1.0) for i in range(steps)]
     xs.append((1.0 + z0) / 2.0)
     xs = sorted(set(xs))
     return [SweepRow(z0, x, bounds.scaled_ell_min(x, z0)) for x in xs]
@@ -170,10 +162,9 @@ def cmd_verify(args) -> int:
         ok = all(r.within_tolerance and r.feasible for r in rows)
         print("all cells within tolerance" if ok else "tolerance exceeded")
         return 0 if ok else 1
-    cap = min(_enumeration_cap(), sequences.HARD_ORDER_LIMIT)
-    if not 2 <= args.nmax <= cap:
-        raise DomainError(f"nmax {args.nmax} outside [2, {cap}] (set DEGSEQ_MAX_N; "
-                          f"the library limit is {sequences.HARD_ORDER_LIMIT})")
+    limit = sequences.HARD_ORDER_LIMIT
+    if not 2 <= args.nmax <= limit:
+        raise DomainError(f"nmax {args.nmax} outside [2, {limit}], the library limit")
     half_order = args.mode == "t1"
     summarize = sequences.half_order_summary if half_order else sequences.window_summary
     rows = []

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
-from .bounds import d_minus_bound, is_above_sqrt_dn, require_window_domain, _window_sqrt
+from .bounds import _d_minus, require_window_domain
 from .errors import DomainError, InfeasibleSearchError
 from .params import GraphParams
 
@@ -107,13 +107,13 @@ def closed_form_solution(p: GraphParams, d_plus) -> OptSolution:
     x = (d_plus - sqrt(d_plus^2 - d n))/n, with the cross constraint
     tight.
     """
-    require_window_domain(p, d_plus)
+    disc = require_window_domain(p, d_plus)
     d = float(p.d)
-    if not is_above_sqrt_dn(p, d_plus):
+    if disc <= 0:
         sol = OptSolution(0.0, 0.0, math.sqrt(d * p.n), math.sqrt(d / p.n))
     else:
-        v = d_minus_bound(p, d_plus)
-        s = _window_sqrt(p, d_plus)
+        s = math.sqrt(disc)
+        v = _d_minus(p, d_plus, s)
         sol = OptSolution(v, v, float(d_plus), (float(d_plus) - s) / p.n)
     return _with_feasibility(sol, p, d_plus)
 

@@ -53,6 +53,10 @@ def _eg_ok(s: tuple) -> bool:
     n = len(s)
     lhs = 0
     for k in range(1, n + 1):
+        # Past the Durfee number every d_i <= k-1, so step k-1 -> k adds d_k on the
+        # left, 2(k-1) - d_k on the right: the slack only grows, by 2(k-1-d_k).
+        if s[k - 1] < k:
+            return True
         lhs += s[k - 1]
         rhs = k * (k - 1)
         for d in s[k:]:
@@ -85,7 +89,8 @@ def realize(degrees) -> Graph:
     order a full sort by (-residual, index) gives, so the edges are the
     same.  A step does O(max degree) Python work plus list copies of the
     buckets it touches, where a sort of all n vertices per step cost
-    O(n^2 log n) in all; the Erdos-Gallai check stays O(n^2).
+    O(n^2 log n) in all; the Erdos-Gallai check is O(n h), h the Durfee
+    number (the largest k with d_k >= k).
     """
     s = as_degree_sequence(degrees)
     if not _eg_ok(s):

@@ -294,6 +294,21 @@ class TestScaledBoundFunction:
         with pytest.raises(DomainError):
             scaled_d_minus(0.9, 1.5)
 
+    def test_domain_ends_at_one(self):
+        # The window needs d_plus <= n-1, so z = d_plus/n stays at or below 1.
+        for f in (scaled_d_minus, scaled_ell_min, scaled_d_minus_deriv):
+            for z in (1.5, math.nextafter(1.0, 2.0), -0.9, math.nan):
+                with pytest.raises(DomainError):
+                    f(z, 0.25)
+            assert f(1.0, 0.25) >= 0.0
+
+    def test_domain_decided_on_the_rooted_value(self):
+        # z^2 > z0 here although z <= sqrt(z0) in floats.
+        z = 0.7071067811865476
+        assert z <= math.sqrt(0.5) and z * z - 0.5 > 0
+        assert scaled_d_minus_deriv(z, 0.5) > 0.0
+        assert 0.0 < scaled_d_minus(z, 0.5) < scaled_ell_min(z, 0.5) < z
+
 
 class TestEllMinIdentities:
     def test_midpoint_gives_half_order(self):

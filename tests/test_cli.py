@@ -109,6 +109,12 @@ class TestSweep:
         assert rc == 0
         assert out.splitlines()[0] == "d_over_n,d_plus_over_n,ell_min_over_n"
 
+    def test_last_sample_is_one(self):
+        # start + 11 * (1 - start) / 11 rounds to 1 + 2^-52 for start = 0.1001.
+        rows = sweep_rows(0.01, 12)
+        assert rows[-1].d_plus_over_n == 1.0
+        assert rows[-1].ell_min_over_n == math.sqrt(1 - 0.01)
+
     def test_bad_density(self, capsys):
         rc, _, err = run(capsys, "sweep", "1.5", "--steps", "5")
         assert rc == 2
@@ -145,24 +151,22 @@ class TestVerify:
             "n=20 d=10: max |grid - closed| = 1.39e-06 (allowed 0.02) ok\n"
             "all cells within tolerance\n")
 
-    def test_enumeration_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("DEGSEQ_MAX_N", "4")
-        rc, _, err = run(capsys, "verify", "--mode", "t1", "--nmax", "5")
-        assert rc == 2
-        assert "DEGSEQ_MAX_N" in err
-
     def test_library_limit_refused_before_scanning(self, capsys, monkeypatch):
-        monkeypatch.setenv("DEGSEQ_MAX_N", "5")
         monkeypatch.setattr(sequences, "HARD_ORDER_LIMIT", 4)
         for mode in ("t1", "t2"):
             rc, out, err = run(capsys, "verify", "--mode", mode, "--nmax", "5")
             assert rc == 2 and out == ""
             assert "library limit" in err
 
-    def test_default_cap_allows_ten(self, capsys, monkeypatch):
-        monkeypatch.delenv("DEGSEQ_MAX_N", raising=False)
-        rc, _, _ = run(capsys, "verify", "--mode", "t1", "--nmax", "4")
-        assert rc == 0
+    def test_library_limit_is_the_only_order_limit(self, capsys, monkeypatch):
+        # DEGSEQ_MAX_N sets no limit; HARD_ORDER_LIMIT is the only one.
+        monkeypatch.setenv("DEGSEQ_MAX_N", "4")
+        monkeypatch.setattr(sequences, "HARD_ORDER_LIMIT", 5)
+        rc, out, _ = run(capsys, "verify", "--mode", "t1", "--nmax", "5")
+        assert rc == 0 and "n=5:" in out
+        rc, out, err = run(capsys, "verify", "--mode", "t1", "--nmax", "6")
+        assert rc == 2 and out == ""
+        assert "library limit" in err
 
 
 class TestConstructionCommands:

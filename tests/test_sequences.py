@@ -30,6 +30,7 @@ from degreeintervals import (
     window_grid,
 )
 from degreeintervals.bounds import half_order_thresholds, window_thresholds
+from degreeintervals.sequences import _bounded_partitions, _eg_ok
 
 
 def resorting_realize(degrees):
@@ -49,6 +50,19 @@ def resorting_realize(degrees):
             residual[u] -= 1
         residual[v] = 0
     return g
+
+
+def full_eg_ok(s):
+    """Reference for `_eg_ok`: every Erdos-Gallai inequality, k = 1..n,
+    with no early exit, O(n^2)."""
+    if sum(s) % 2:
+        return False
+    lhs = 0
+    for k in range(1, len(s) + 1):
+        lhs += s[k - 1]
+        if lhs > k * (k - 1) + sum(min(d, k) for d in s[k:]):
+            return False
+    return True
 
 
 def brute_force_degree_sequences(n):
@@ -79,6 +93,27 @@ class TestIsGraphical:
             is_graphical((2, -1, 1))
         with pytest.raises(DomainError):
             is_graphical((1.5, 0.5))
+
+    def test_durfee_cutoff_matches_every_inequality(self):
+        # Every candidate of the enumeration up to n = 9, odd sums and a
+        # degree of n included, then seeded G(n, p) sequences, each also
+        # with one unit moved from a low degree to a high one.
+        seqs = [s for n in range(1, 10) for total in range(n * n + 1)
+                for s in _bounded_partitions(total, n, n)]
+        rng = random.Random(11)
+        for _ in range(200):
+            n, p = rng.randint(2, 60), rng.random()
+            g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+            degrees = sorted(g.degrees(), reverse=True)
+            seqs.append(tuple(degrees))
+            i, j = sorted(rng.sample(range(n), 2))
+            if degrees[j]:
+                degrees[i] += 1
+                degrees[j] -= 1
+                seqs.append(tuple(sorted(degrees, reverse=True)))
+        verdicts = [full_eg_ok(s) for s in seqs]
+        assert [_eg_ok(s) for s in seqs] == verdicts
+        assert verdicts.count(True) > 1000 and verdicts.count(False) > 1000
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_against_brute_force(self, n):
