@@ -146,7 +146,8 @@ def opt_value(p: GraphParams, d_plus) -> float:
 def window_thresholds(p: GraphParams, d_plus) -> tuple:
     """Integer thresholds (lo, lo_strict, hi, hi_strict) of the window
     [opt_value(p, d_plus), d_plus]: a degree k lies in it iff lo <= k <= hi,
-    and strictly inside iff lo_strict <= k <= hi_strict.
+    and strictly inside iff lo_strict <= k <= hi_strict.  lo is 0 exactly
+    when d_plus <= sqrt(d n), since the d_minus bound is positive above.
 
     Exact for any rational d_plus = a/b, floats included: above sqrt(d n),
     k >= d_minus iff k(a n - d n b) >= (d n - k n) sqrt(a^2 - d n b^2),

@@ -3,11 +3,13 @@
 The interval guarantees constrain vertex degrees only, so exhaustive
 verification runs over graphical degree sequences instead of labeled
 graphs (16016 graphical sequences of length 10, versus 2^45 labeled
-graphs).  Sequences are plain non-increasing tuples of ints; candidate
-sequences are generated as bounded partitions of the degree sum and kept
-when they pass the Erdos-Gallai inequalities.  The scans read each
-sequence's degree set as an int bitmask, since both guarantees only ask
-whether some degree falls in an integer band.
+graphs).  Sequences are plain non-increasing tuples of ints, generated
+depth first as bounded partitions of the degree sum; a prefix is cut as
+soon as its own Erdos-Gallai inequality cannot hold, and each complete
+candidate is kept when it passes all of them (at n = 11, 72,674
+candidates instead of the 176,482 bounded partitions).  The scans read
+each sequence's degree set as an int bitmask, since both guarantees only
+ask whether some degree falls in an integer band.
 
 Wire formats shared with the command line: a degree sequence is one line
 of comma-separated integers; graphs use the edge-list format of
@@ -120,30 +122,49 @@ def realize(degrees) -> Graph:
     return g
 
 
-def _bounded_partitions(total: int, parts: int, cap: int) -> Iterator[tuple]:
-    # Non-increasing tuples of `parts` entries in [0, cap] summing to
-    # `total`, emitted in lexicographically decreasing order.
-    if parts == 0:
-        if total == 0:
-            yield ()
+def _extend(d: list, out: list, i: int, rem: int, cap: int, lhs: int) -> None:
+    # Fills d[i:] with non-increasing values in [0, cap] summing to rem, in
+    # lexicographically decreasing order, and appends each graphical fill
+    # to out as a tuple; lhs is sum(d[:i]).  A value v at position k = i+1
+    # leaves a tail of n-k entries <= v summing to r = rem - v, so the k-th
+    # Erdos-Gallai right side is at most k(k-1) + min(r, (n-k)k); a prefix
+    # above that bound has no graphical completion.  Past the Durfee
+    # number (v < k) the k-th inequality follows from the (k-1)-th.
+    n = len(d)
+    k = i + 1
+    if k == n:
+        if rem <= cap:
+            d[i] = rem
+            seq = tuple(d)
+            if _eg_ok(seq):
+                out.append(seq)
         return
-    hi = min(cap, total)
-    lo = -(-total // parts)  # ceil; later parts cannot exceed the first
-    for v in range(hi, lo - 1, -1):
-        for rest in _bounded_partitions(total - v, parts - 1, v):
-            yield (v,) + rest
+    floor_k = k * (k - 1)
+    tail_cap = (n - k) * k
+    for v in range(min(cap, rem), -(-rem // (n - i)) - 1, -1):
+        r = rem - v
+        if v >= k and lhs + v > floor_k + (r if r < tail_cap else tail_cap):
+            continue
+        d[i] = v
+        _extend(d, out, k, r, v, lhs + v)
 
 
 def enumerate_graphical(n: int, m: int) -> Iterator[DegreeSequence]:
     """All graphical sequences of length n and sum 2m, lexicographically
-    decreasing, each exactly once."""
+    decreasing, each exactly once.
+
+    Prefixes are filled depth first in that order and cut as soon as
+    their own Erdos-Gallai inequality fails for every possible tail;
+    each complete survivor still passes the full `_eg_ok`.  Over the
+    cells 0 < m < 55 of n = 11 that check sees 72,674 leaves, where
+    filtering every bounded partition saw 176,482."""
     GraphParams(n, m)  # validates the order and the edge count
     if n > HARD_ORDER_LIMIT:
         raise EnumerationLimitError(
             f"order {n} above enumeration limit {HARD_ORDER_LIMIT}")
-    for seq in _bounded_partitions(2 * m, n, n - 1):
-        if _eg_ok(seq):
-            yield seq
+    out = []
+    _extend([0] * n, out, 0, 2 * m, n - 1, 0)
+    yield from out
 
 
 @lru_cache(maxsize=1)
@@ -252,8 +273,9 @@ def verify_window(n: int, m: int, d_plus) -> VerificationReport:
     """Scan every graphical sequence for an entry in [d_minus bound, d_plus],
     decided on exact integer thresholds; needs sqrt(d n) < d_plus <= n-1."""
     p = GraphParams(n, m)
-    require_above_root(p, d_plus)
     lo, lo_strict, hi, hi_strict = window_thresholds(p, d_plus)
+    if lo == 0:  # lo = ceil(opt_value), 0 exactly when d_plus <= sqrt(d n)
+        require_above_root(p, d_plus)  # raises
     checked, violations, extremal, low_max = _band_scan(n, m, lo, lo_strict, hi, hi_strict)
     return VerificationReport(p, d_plus, checked, violations, extremal,
                               empirical_d_minus=low_max, bound_ok=low_max >= lo)

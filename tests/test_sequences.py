@@ -30,7 +30,7 @@ from degreeintervals import (
     window_grid,
 )
 from degreeintervals.bounds import half_order_thresholds, window_thresholds
-from degreeintervals.sequences import _bounded_partitions, _eg_ok
+from degreeintervals.sequences import _eg_ok
 
 
 def resorting_realize(degrees):
@@ -63,6 +63,20 @@ def full_eg_ok(s):
         if lhs > k * (k - 1) + sum(min(d, k) for d in s[k:]):
             return False
     return True
+
+
+def _bounded_partitions(total, parts, cap):
+    """Reference for `enumerate_graphical`'s candidates: non-increasing
+    tuples of `parts` entries in [0, cap] summing to `total`, in
+    lexicographically decreasing order, with no pruning."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    lo = -(-total // parts)  # ceil; later parts cannot exceed the first
+    for v in range(min(cap, total), lo - 1, -1):
+        for rest in _bounded_partitions(total - v, parts - 1, v):
+            yield (v,) + rest
 
 
 def brute_force_degree_sequences(n):
@@ -194,6 +208,20 @@ class TestEnumeration:
             got = set(graphical_sequences(n, m))
             assert got == by_filter.get(m, set())
             assert got == by_brute.get(m, set())
+
+    def test_matches_partition_filter_reference(self):
+        # The prefix cuts drop only sequences the full check would reject,
+        # and keep the order of the unpruned partitions.
+        for n in range(2, 11):
+            for m in range(n * (n - 1) // 2 + 1):
+                expected = [s for s in _bounded_partitions(2 * m, n, n - 1) if _eg_ok(s)]
+                assert list(enumerate_graphical(n, m)) == expected, (n, m)
+
+    def test_order_totals_match_oeis_a004251(self):
+        # Graphical sequences of length n, any edge count (OEIS A004251).
+        totals = [sum(len(list(enumerate_graphical(n, m))) for m in range(n * (n - 1) // 2 + 1))
+                  for n in range(2, 12)]
+        assert totals == [2, 4, 11, 31, 102, 342, 1213, 4361, 16016, 59348]
 
     def test_order_guard(self):
         with pytest.raises(EnumerationLimitError):
