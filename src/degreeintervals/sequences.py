@@ -19,7 +19,6 @@ of comma-separated integers; graphs use the edge-list format of
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional
 
 from .bounds import (extremal_profile, half_order_interval, half_order_thresholds,
@@ -128,8 +127,7 @@ def _extend(d: list, out: list, i: int, rem: int, cap: int, lhs: int) -> None:
     # to out as a tuple; lhs is sum(d[:i]).  A value v at position k = i+1
     # leaves a tail of n-k entries <= v summing to r = rem - v, so the k-th
     # Erdos-Gallai right side is at most k(k-1) + min(r, (n-k)k); a prefix
-    # above that bound has no graphical completion.  Past the Durfee
-    # number (v < k) the k-th inequality follows from the (k-1)-th.
+    # above that bound has no graphical completion.
     n = len(d)
     k = i + 1
     if k == n:
@@ -143,7 +141,7 @@ def _extend(d: list, out: list, i: int, rem: int, cap: int, lhs: int) -> None:
     tail_cap = (n - k) * k
     for v in range(min(cap, rem), -(-rem // (n - i)) - 1, -1):
         r = rem - v
-        if v >= k and lhs + v > floor_k + (r if r < tail_cap else tail_cap):
+        if lhs + v > floor_k + (r if r < tail_cap else tail_cap):
             continue
         d[i] = v
         _extend(d, out, k, r, v, lhs + v)
@@ -167,16 +165,24 @@ def enumerate_graphical(n: int, m: int) -> Iterator[DegreeSequence]:
     yield from out
 
 
-@lru_cache(maxsize=1)
+_current = {}  # (n, m) -> (sequences, masks) of the one cell kept
+
+
 def _degree_sets(n: int, m: int) -> tuple:
     """(sequences, masks): `enumerate_graphical(n, m)` as a tuple, and the
     degree set of each sequence as an int whose bit k is set iff degree k
     occurs in it.
 
     Only the last (n, m) is kept: every scan runs over m outermost and
-    over d_plus innermost, so each pair is reused while it is current."""
-    seqs = tuple(enumerate_graphical(n, m))
-    return seqs, [sum(1 << d for d in set(s)) for s in seqs]
+    over d_plus innermost, so each pair is reused while it is current.
+    The previous pair is dropped before the next is built, so the two
+    are never held at once."""
+    pair = _current.get((n, m))
+    if pair is None:
+        _current.clear()
+        seqs = tuple(enumerate_graphical(n, m))
+        pair = _current[n, m] = seqs, [sum(1 << d for d in set(s)) for s in seqs]
+    return pair
 
 
 def graphical_sequences(n: int, m: int) -> tuple:

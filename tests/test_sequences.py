@@ -29,6 +29,7 @@ from degreeintervals import (
     verify_window,
     window_grid,
 )
+from degreeintervals import sequences
 from degreeintervals.bounds import half_order_thresholds, window_thresholds
 from degreeintervals.sequences import _eg_ok
 
@@ -222,6 +223,23 @@ class TestEnumeration:
         totals = [sum(len(list(enumerate_graphical(n, m))) for m in range(n * (n - 1) // 2 + 1))
                   for n in range(2, 12)]
         assert totals == [2, 4, 11, 31, 102, 342, 1213, 4361, 16016, 59348]
+
+    def test_cache_drops_the_previous_cell_before_the_next(self, monkeypatch):
+        # A scan holds one cell's sequences at a time: the current cell is
+        # reused, and it is released before another cell is enumerated.
+        seen = []
+
+        def spy(n, m):
+            seen.append((n, m, len(sequences._current)))
+            return enumerate_graphical(n, m)
+        monkeypatch.setattr(sequences, "_current", {})
+        monkeypatch.setattr(sequences, "enumerate_graphical", spy)
+        first = graphical_sequences(9, 10)
+        assert graphical_sequences(9, 10) is first
+        graphical_sequences(9, 11)
+        assert graphical_sequences(9, 10) == first
+        assert seen == [(9, 10, 0), (9, 11, 0), (9, 10, 0)]
+        assert list(sequences._current) == [(9, 10)]
 
     def test_order_guard(self):
         with pytest.raises(EnumerationLimitError):
