@@ -18,7 +18,7 @@ class InfeasibleConstructionError(ValueError):
 
 
 class EnumerationLimitError(ValueError):
-    """Requested enumeration exceeds the configured size cap."""
+    """Requested sequence scan is above the order limit `sequences.HARD_ORDER_LIMIT`."""
 
 
 class InfeasibleSearchError(RuntimeError):

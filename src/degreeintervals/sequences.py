@@ -4,18 +4,27 @@ The interval guarantees constrain vertex degrees only, so exhaustive
 verification runs over graphical degree sequences instead of labeled
 graphs (16016 graphical sequences of length 10, versus 2^45 labeled
 graphs).  Sequences are plain non-increasing tuples of ints, generated
-depth first as bounded partitions of the degree sum; a prefix is cut as
-soon as its own Erdos-Gallai inequality cannot hold, and each complete
-candidate is kept when it passes all of them (at n = 11, 72,674
-candidates instead of the 176,482 bounded partitions).  The scans read
-each sequence's degree set as an int bitmask, since both guarantees only
-ask whether some degree falls in an integer band.
+depth first as bounded partitions of the degree sum over a descending
+alphabet of allowed degrees; a prefix is cut as soon as its own
+Erdos-Gallai inequality cannot hold, and each complete candidate is kept
+when it passes all of them (at n = 11, 72,674 candidates instead of the
+176,482 bounded partitions).
+
+Both guarantees only ask whether some degree falls in an integer band,
+so the scans never list every sequence.  A violation has every degree
+outside the closed band and an extremal sequence every degree outside
+the strict one, so each is searched over that band's complement; the
+window optimum is found by emptiness checks over such alphabets.  The
+number of sequences scanned is counted by a Durfee-square recurrence
+(`_graphical_counts`).  Full enumeration (`enumerate_graphical`) over
+the alphabet 0..n-1 is kept as the tests' oracle.
 
 Wire formats shared with the command line: a degree sequence is one line
 of comma-separated integers; graphs use the edge-list format of
 `graphs`.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -121,30 +130,54 @@ def realize(degrees) -> Graph:
     return g
 
 
-def _extend(d: list, out: list, i: int, rem: int, cap: int, lhs: int) -> None:
-    # Fills d[i:] with non-increasing values in [0, cap] summing to rem, in
-    # lexicographically decreasing order, and appends each graphical fill
-    # to out as a tuple; lhs is sum(d[:i]).  A value v at position k = i+1
+def _extend(d: list, alphabet: list, j: int, out: Optional[list], i: int, rem: int,
+            lhs: int) -> bool:
+    # Fills d[i:] with non-increasing values from alphabet[j:] (descending)
+    # summing to rem, in lexicographically decreasing order, and appends each
+    # graphical fill to out as a tuple; with out None it stops at the first
+    # and returns True.  lhs is sum(d[:i]).  A value v at position k = i+1
     # leaves a tail of n-k entries <= v summing to r = rem - v, so the k-th
     # Erdos-Gallai right side is at most k(k-1) + min(r, (n-k)k); a prefix
     # above that bound has no graphical completion.
     n = len(d)
     k = i + 1
-    if k == n:
-        if rem <= cap:
-            d[i] = rem
-            seq = tuple(d)
-            if _eg_ok(seq):
-                out.append(seq)
-        return
     floor_k = k * (k - 1)
     tail_cap = (n - k) * k
-    for v in range(min(cap, rem), -(-rem // (n - i)) - 1, -1):
+    least = -(-rem // (n - i))  # the entries left cannot exceed this one
+    for j in range(j, len(alphabet)):
+        v = alphabet[j]
+        if v > rem:
+            continue
+        if v < least:
+            break
         r = rem - v
         if lhs + v > floor_k + (r if r < tail_cap else tail_cap):
             continue
         d[i] = v
-        _extend(d, out, k, r, v, lhs + v)
+        if k < n:
+            if _extend(d, alphabet, j, out, k, r, lhs + v):
+                return True
+        elif _eg_ok(tuple(d)):
+            if out is None:
+                return True
+            out.append(tuple(d))
+    return False
+
+
+def _search(n: int, m: int, alphabet: list, out: Optional[list]) -> bool:
+    """Appends to out the graphical sequences of length n and sum 2m whose
+    every degree lies in `alphabet` (descending), lexicographically
+    decreasing; with out None, returns whether there is one.  The one
+    place that enforces `HARD_ORDER_LIMIT`."""
+    if n > HARD_ORDER_LIMIT:
+        raise EnumerationLimitError(
+            f"order {n} above enumeration limit {HARD_ORDER_LIMIT}")
+    return _extend([0] * n, alphabet, 0, out, 0, 2 * m, 0)
+
+
+def _outside(n: int, a: int, b: int) -> list:
+    # The degrees 0..n-1 not in [a, b], descending.
+    return [v for v in range(n - 1, -1, -1) if v < a or v > b]
 
 
 def enumerate_graphical(n: int, m: int) -> Iterator[DegreeSequence]:
@@ -155,58 +188,76 @@ def enumerate_graphical(n: int, m: int) -> Iterator[DegreeSequence]:
     their own Erdos-Gallai inequality fails for every possible tail;
     each complete survivor still passes the full `_eg_ok`.  Over the
     cells 0 < m < 55 of n = 11 that check sees 72,674 leaves, where
-    filtering every bounded partition saw 176,482."""
+    filtering every bounded partition saw 176,482.  The scans do not
+    call it: they count by `_graphical_counts` and search band-avoiding
+    alphabets; it is their test oracle."""
     GraphParams(n, m)  # validates the order and the edge count
-    if n > HARD_ORDER_LIMIT:
-        raise EnumerationLimitError(
-            f"order {n} above enumeration limit {HARD_ORDER_LIMIT}")
     out = []
-    _extend([0] * n, out, 0, 2 * m, n - 1, 0)
+    _search(n, m, list(range(n - 1, -1, -1)), out)
     yield from out
 
 
-_current = {}  # (n, m) -> (sequences, masks) of the one cell kept
-
-
-def _degree_sets(n: int, m: int) -> tuple:
-    """(sequences, masks): `enumerate_graphical(n, m)` as a tuple, and the
-    degree set of each sequence as an int whose bit k is set iff degree k
-    occurs in it.
-
-    Only the last (n, m) is kept: every scan runs over m outermost and
-    over d_plus innermost, so each pair is reused while it is current.
-    The previous pair is dropped before the next is built, so the two
-    are never held at once."""
-    pair = _current.get((n, m))
-    if pair is None:
-        _current.clear()
-        seqs = tuple(enumerate_graphical(n, m))
-        pair = _current[n, m] = seqs, [sum(1 << d for d in set(s)) for s in seqs]
-    return pair
-
-
 def graphical_sequences(n: int, m: int) -> tuple:
-    """Tuple of `enumerate_graphical(n, m)`, read from the cache."""
-    return _degree_sets(n, m)[0]
+    """Tuple of `enumerate_graphical(n, m)`, not cached.  It stays public
+    because `perfbench/passrun.py` LAYERS traces it by name, and CI's
+    benchmark step fails on a traced function that is missing."""
+    return tuple(enumerate_graphical(n, m))
 
 
-def _band(a: int, b: int) -> int:
-    # Degree-set mask of the integers in [a, b], for a >= 0; 0 when empty.
-    return (1 << (b + 1)) - (1 << a) if a <= b else 0
+@functools.lru_cache(maxsize=1)
+def _graphical_counts(n: int) -> tuple:
+    """Number of graphical sequences of length n with m edges, indexed by
+    m = 0..C(n,2); built without listing them, and cached one order at a
+    time.
+
+    A non-zero sequence is a partition whose Ferrers diagram splits into
+    its Durfee square h x h (h the largest k with d_k >= k), an arm
+    a_i = d_i - h and a leg b_i = d*_i - h for i <= h (d* the conjugate),
+    both non-increasing and otherwise free.  It fits in n entries iff
+    h + b_1 <= n, its degree sum is h^2 + sum(a) + sum(b), and by Berge's
+    form of Erdos-Gallai it is graphical iff that sum is even and
+    sum_{i<=k} (b_i - a_i) >= k for every k <= h.  For each h a recurrence
+    over k carries the states (a_k, b_k, slack), slack being that prefix
+    sum minus k, capped at (h-k)(a_k+1) since no later step can lose
+    more; each state holds the generating polynomial of the running
+    sum(a) + sum(b).  A polynomial is one int with a 2n-bit field per
+    power: a coefficient counts prefixes (a_1..a_k, b_1..b_k) with entries
+    at most n-h, fewer than C(n, k)^2 < 4^n, so fields never carry.
+    """
+    width = 2 * n
+    total = 1  # the zero sequence
+    for h in range(1, n):
+        states = {(n - h, n - h, 0): 1}  # step 0: a_1, b_1 <= n-h (n entries)
+        for k in range(h):
+            later = h - k - 1
+            nxt = {}
+            for (a, b, slack), poly in states.items():
+                for a2 in range(a + 1):
+                    for b2 in range(max(0, a2 + 1 - slack), b + 1):
+                        key = (a2, b2, min(slack + b2 - a2 - 1, later * (a2 + 1)))
+                        nxt[key] = nxt.get(key, 0) + (poly << width * (a2 + b2))
+            states = nxt
+        total += sum(states.values()) << width * h * h
+    mask = (1 << width) - 1
+    return tuple((total >> width * 2 * m) & mask for m in range(n * (n - 1) // 2 + 1))
 
 
-def _band_scan(n: int, m: int, lo: int, lo_strict: int, hi: int, hi_strict: int) -> tuple:
-    """(count, violations, extremal, low_max) over the graphical sequences
-    of length n, sum 2m: those with no degree in [lo, hi], those with none
-    in [lo_strict, hi_strict], and the least largest degree <= hi_strict.
-    The one reader of the enumeration cache; a sequence has a degree in
-    [a, b] iff its degree set meets that band.  The strict band lies
-    inside the closed one, so every violation is also extremal."""
-    seqs, masks = _degree_sets(n, m)
-    strict, closed, below = _band(lo_strict, hi_strict), _band(lo, hi), _band(0, hi_strict)
-    extremal = [(s, k) for s, k in zip(seqs, masks) if not k & strict]
-    return (len(seqs), [s for s, k in extremal if not k & closed], [s for s, _ in extremal],
-            min(map(below.__and__, masks)).bit_length() - 1)
+def _low_max(n: int, m: int, lo: int, hi_strict: int) -> int:
+    """The least L >= -1 such that a graphical sequence of length n, sum 2m,
+    has every degree <= L or > hi_strict: the least, over all of them, of
+    the largest degree <= hi_strict (-1 when there is none).  The first
+    emptiness check, at L = lo - 1, alone decides whether that reaches lo;
+    the search then walks down or up from there.  It ends by L = hi_strict,
+    where the alphabet is every degree."""
+    if _search(n, m, _outside(n, lo, hi_strict), None):
+        low = lo - 1
+        while low >= 0 and _search(n, m, _outside(n, low, hi_strict), None):
+            low -= 1
+        return low
+    low = lo
+    while low < hi_strict and not _search(n, m, _outside(n, low + 1, hi_strict), None):
+        low += 1
+    return low
 
 
 def empirical_d_minus(n: int, m: int, d_plus) -> int:
@@ -218,8 +269,19 @@ def empirical_d_minus(n: int, m: int, d_plus) -> int:
     >= d_plus.  Comparisons against d_plus reduce to integer thresholds,
     so the scan is exact for any rational d_plus.
     """
-    *_, low_max = _band_scan(n, m, *window_thresholds(GraphParams(n, m), d_plus))
-    return low_max
+    lo, _, _, hi_strict = window_thresholds(GraphParams(n, m), d_plus)
+    return _low_max(n, m, lo, hi_strict)
+
+
+def _band_sets(n: int, m: int, lo: int, lo_strict: int, hi: int, hi_strict: int) -> tuple:
+    """(violations, extremal): the graphical sequences of length n, sum 2m,
+    with no degree in [lo, hi], and those with none in [lo_strict,
+    hi_strict].  The strict band lies inside the closed one, so the
+    violations are filtered out of the extremal sequences, which are
+    searched over the degrees outside the strict band."""
+    extremal = []
+    _search(n, m, _outside(n, lo_strict, hi_strict), extremal)
+    return [s for s in extremal if not any(lo <= d <= hi for d in s)], extremal
 
 
 @dataclass
@@ -234,6 +296,10 @@ class VerificationReport:
     boundary sequence has a degree outside the closed interval (stars
     and their complements, for example).  Window scans also record the
     empirical optimum and whether it reaches the theory bound (`bound_ok`).
+    `sequences_checked` is the number of graphical sequences of the cell,
+    counted by `_graphical_counts`, not visited one by one: the guarantees
+    are decided by searching only the degrees that avoid the band, and
+    every sequence not found there has a degree inside it.
     """
 
     params: GraphParams
@@ -267,12 +333,13 @@ def verify_half_order(n: int, m: int) -> VerificationReport:
     star, or its complement) and is not a counterexample.
     """
     p = GraphParams(n, m)
-    checked, violations, extremal, _ = _band_scan(n, m, *half_order_thresholds(p))
+    violations, extremal = _band_sets(n, m, *half_order_thresholds(p))
     mismatches = []
     if 0 < p.d < n - 1:
         expected = _profile_sequence(p)
         mismatches = [s for s in extremal if s != expected]
-    return VerificationReport(p, None, checked, violations, extremal, mismatches)
+    return VerificationReport(p, None, _graphical_counts(n)[m], violations, extremal,
+                              mismatches)
 
 
 def verify_window(n: int, m: int, d_plus) -> VerificationReport:
@@ -282,8 +349,9 @@ def verify_window(n: int, m: int, d_plus) -> VerificationReport:
     lo, lo_strict, hi, hi_strict = window_thresholds(p, d_plus)
     if lo == 0:  # lo = ceil(opt_value), 0 exactly when d_plus <= sqrt(d n)
         require_above_root(p, d_plus)  # raises
-    checked, violations, extremal, low_max = _band_scan(n, m, lo, lo_strict, hi, hi_strict)
-    return VerificationReport(p, d_plus, checked, violations, extremal,
+    violations, extremal = _band_sets(n, m, lo, lo_strict, hi, hi_strict)
+    low_max = _low_max(n, m, lo, hi_strict)
+    return VerificationReport(p, d_plus, _graphical_counts(n)[m], violations, extremal,
                               empirical_d_minus=low_max, bound_ok=low_max >= lo)
 
 

@@ -224,30 +224,90 @@ class TestEnumeration:
                   for n in range(2, 12)]
         assert totals == [2, 4, 11, 31, 102, 342, 1213, 4361, 16016, 59348]
 
-    def test_cache_drops_the_previous_cell_before_the_next(self, monkeypatch):
-        # A scan holds one cell's sequences at a time: the current cell is
-        # reused, and it is released before another cell is enumerated.
-        seen = []
+    def test_scans_never_enumerate(self, monkeypatch):
+        # Both verifiers and empirical_d_minus count and search band-avoiding
+        # alphabets; full enumeration is only the tests' oracle.
+        def stub(n, m):
+            raise AssertionError(f"enumerate_graphical({n}, {m}) called")
+        monkeypatch.setattr(sequences, "enumerate_graphical", stub)
+        monkeypatch.setattr(sequences, "graphical_sequences", stub)
+        assert sequences.half_order_summary(9).sequences == 4359
+        assert sequences.window_summary(7).bound_failures == 0
+        assert verify_window(9, 18, Fraction(7)).sequences_checked == 319
+        assert empirical_d_minus(4, 3, 3) == 1
 
-        def spy(n, m):
-            seen.append((n, m, len(sequences._current)))
-            return enumerate_graphical(n, m)
-        monkeypatch.setattr(sequences, "_current", {})
-        monkeypatch.setattr(sequences, "enumerate_graphical", spy)
-        first = graphical_sequences(9, 10)
-        assert graphical_sequences(9, 10) is first
-        graphical_sequences(9, 11)
-        assert graphical_sequences(9, 10) == first
-        assert seen == [(9, 10, 0), (9, 11, 0), (9, 10, 0)]
-        assert list(sequences._current) == [(9, 10)]
+    def test_count_cache_holds_one_order(self):
+        sequences._graphical_counts.cache_clear()
+        first = sequences._graphical_counts(9)
+        assert sequences._graphical_counts(9) is first
+        sequences._graphical_counts(10)
+        info = sequences._graphical_counts.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 2, 1)
+        assert type(first) is tuple and len(first) == 9 * 8 // 2 + 1
 
     def test_order_guard(self):
         with pytest.raises(EnumerationLimitError):
             list(enumerate_graphical(13, 5))
 
+    def test_scans_keep_the_order_limit(self):
+        # Parameter and window-domain errors come first, then the one order
+        # limit, with the same text at every scan entry point.
+        with pytest.raises(DomainError, match="edge count"):
+            verify_half_order(13, 79)
+        with pytest.raises(DomainError, match="must exceed sqrt"):
+            verify_window(13, 30, 7)
+        with pytest.raises(DomainError, match="outside"):
+            empirical_d_minus(13, 30, 4)
+        for scan in (lambda: verify_half_order(13, 5), lambda: verify_window(13, 30, 11),
+                     lambda: empirical_d_minus(13, 30, 11), lambda: graphical_sequences(13, 5)):
+            with pytest.raises(EnumerationLimitError,
+                               match=r"^order 13 above enumeration limit 12$"):
+                scan()
+
     def test_bad_edge_count(self):
         with pytest.raises(DomainError):
             list(enumerate_graphical(4, 7))
+
+
+class TestCounting:
+    def test_counts_match_enumeration(self):
+        for n in range(2, 12):
+            counts = sequences._graphical_counts(n)
+            assert len(counts) == n * (n - 1) // 2 + 1
+            for m, count in enumerate(counts):
+                assert count == len(list(enumerate_graphical(n, m))), (n, m)
+
+    def test_counts_beyond_the_limit_match_oeis_a004251(self):
+        # The count builds no sequence, so it runs past HARD_ORDER_LIMIT.
+        assert [sum(sequences._graphical_counts(n)) for n in (13, 14)] == [836315, 3166852]
+
+
+class TestAlphabetSearch:
+    @staticmethod
+    def alphabets(n, rng):
+        # The empty and the full alphabet, the complement of the empty strict
+        # band of n = 2, and seeded random subsets of 0..n-1, each descending.
+        _, lo_strict, _, hi_strict = half_order_thresholds(GraphParams(2, 1))
+        yield []
+        yield list(range(n - 1, -1, -1))
+        yield sequences._outside(n, lo_strict, hi_strict)
+        for _ in range(4):
+            yield sorted(rng.sample(range(n), rng.randint(1, n)), reverse=True)
+
+    def test_matches_filtered_enumeration(self):
+        rng = random.Random(12)
+        nonempty = 0
+        for n in range(2, 11):
+            for m in range(n * (n - 1) // 2 + 1):
+                every = list(enumerate_graphical(n, m))
+                for alphabet in self.alphabets(n, rng):
+                    expected = [s for s in every if set(s) <= set(alphabet)]
+                    out = []
+                    sequences._search(n, m, alphabet, out)
+                    assert out == expected, (n, m, alphabet)
+                    assert sequences._search(n, m, alphabet, None) == bool(expected)
+                    nonempty += bool(expected)
+        assert nonempty > 500
 
 
 class TestEmpiricalDMinus:
@@ -311,6 +371,17 @@ class TestVerifyHalfOrder:
                 for s in rep.profile_mismatches:
                     assert any(not iv.contains(e) for e in s), (n, m, s)
 
+    def test_complement_symmetry(self):
+        # The half-order interval at C(n,2) - m is the d -> n-1-d image of
+        # the one at m, so the extremal sets are complements of each other.
+        for n in range(2, 11):
+            top = n * (n - 1) // 2
+            for m in range(top + 1):
+                mirrored = sorted((tuple(sorted((n - 1 - d for d in s), reverse=True))
+                                   for s in verify_half_order(n, m).extremal_sequences),
+                                  reverse=True)
+                assert verify_half_order(n, top - m).extremal_sequences == mirrored, (n, m)
+
     def test_stars_slip_past_the_open_interval_filter(self):
         # stars have degrees {n-1, 1} only, so nothing falls strictly
         # inside the interval, yet their multiset is not the profile
@@ -358,13 +429,13 @@ class TestVerifyWindow:
 
 
 def reference_band_scan(n, m, lo, lo_strict, hi, hi_strict):
-    """Violations, extremal sequences and the least largest degree <=
-    hi_strict, decided degree by degree on a fresh enumeration."""
+    """Count, violations, extremal sequences and the least largest degree
+    <= hi_strict, decided degree by degree on a fresh enumeration."""
     seqs = list(enumerate_graphical(n, m))
     violations = [s for s in seqs if not any(lo <= d <= hi for d in s)]
     extremal = [s for s in seqs if not any(lo_strict <= d <= hi_strict for d in s)]
     low_max = min(max((d for d in s if d <= hi_strict), default=-1) for s in seqs)
-    return violations, extremal, low_max
+    return len(seqs), violations, extremal, low_max
 
 
 class TestBandScanAgainstReference:
@@ -373,9 +444,10 @@ class TestBandScanAgainstReference:
         assert lo_strict > hi_strict  # n = 2: the strict band is empty
         for n in range(2, 9):
             for m in range(0, n * (n - 1) // 2 + 1):
-                violations, extremal, _ = reference_band_scan(
+                count, violations, extremal, _ = reference_band_scan(
                     n, m, *half_order_thresholds(GraphParams(n, m)))
                 rep = verify_half_order(n, m)
+                assert rep.sequences_checked == count, (n, m)
                 assert rep.violations == violations, (n, m)
                 assert rep.extremal_sequences == extremal, (n, m)
 
@@ -383,9 +455,10 @@ class TestBandScanAgainstReference:
         for n in range(3, 9):
             for m in range(1, n * (n - 1) // 2):
                 for dp in window_grid(n, m):
-                    violations, extremal, low_max = reference_band_scan(
+                    count, violations, extremal, low_max = reference_band_scan(
                         n, m, *window_thresholds(GraphParams(n, m), dp))
                     rep = verify_window(n, m, dp)
+                    assert rep.sequences_checked == count, (n, m, dp)
                     assert rep.violations == violations, (n, m, dp)
                     assert rep.extremal_sequences == extremal, (n, m, dp)
                     assert rep.empirical_d_minus == low_max, (n, m, dp)
