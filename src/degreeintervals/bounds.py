@@ -149,25 +149,35 @@ def window_thresholds(p: GraphParams, d_plus) -> tuple:
     and strictly inside iff lo_strict <= k <= hi_strict.  lo is 0 exactly
     when d_plus <= sqrt(d n), since the d_minus bound is positive above.
 
-    Exact for any rational d_plus = a/b, floats included: above sqrt(d n),
-    k >= d_minus iff k(a n - d n b) >= (d n - k n) sqrt(a^2 - d n b^2),
-    decided by sign and by squaring.
+    Computed in integers, exact for any rational d_plus = a/b, floats
+    included: with d n = u/v, the domain is 0 < m < C(n,2), u b < a n v
+    and a <= (n-1) b, and above sqrt(d n), k >= d_minus iff
+    k(a n v - u b) >= (u - k n v) sqrt((a^2 v - u b^2)/v), decided by sign
+    and by squaring.  A d_plus with no integer ratio (nan, infinities) or
+    outside the domain gets the `require_window_domain` error.
     """
-    require_window_domain(p, d_plus)
-    q = Fraction(d_plus)
-    hi, hi_strict = math.floor(q), math.ceil(q) - 1
-    a, b = q.as_integer_ratio()
-    u, v = (2 * p.m).as_integer_ratio()  # d n = 2m = u/v
+    n = p.n
+    u, v = p.m.as_integer_ratio()
+    u *= 2  # d n = 2m = u/v
+    try:
+        a, b = d_plus.as_integer_ratio()
+    except (AttributeError, ValueError, OverflowError):
+        a = b = None
+    if a is None or not (0 < u < 2 * p.max_edges * v and u * b < a * n * v
+                         and a <= (n - 1) * b):
+        require_window_domain(p, d_plus)  # raises, unless the ratio method is missing
+        a, b = Fraction(d_plus).as_integer_ratio()
+    hi, hi_strict = a // b, -(-a // b) - 1
     disc = a * a * v - u * b * b  # sign of d_plus^2 - d n
     if disc <= 0:
         return 0, 1, hi, hi_strict
-    slope = a * p.n * v - u * b  # > 0 because d_plus > d
+    slope = a * n * v - u * b  # > 0 because d_plus > d
 
     def excess(k):  # has the sign of k - d_minus
-        rhs = u - k * p.n * v
+        rhs = u - k * n * v
         return 1 if rhs <= 0 else k * k * slope * slope * v - rhs * rhs * disc
 
-    lo = bisect_left(range(p.n), 0, key=excess)  # d_minus < n-1, so lo < n
+    lo = bisect_left(range(n), 0, key=excess)  # d_minus < n-1, so lo < n
     return lo, lo + (excess(lo) == 0), hi, hi_strict
 
 

@@ -15,6 +15,8 @@ so the scans never list every sequence.  A violation has every degree
 outside the closed band and an extremal sequence every degree outside
 the strict one, so each is searched over that band's complement; the
 window optimum is found by emptiness checks over such alphabets.  The
+window thresholds are step functions of d_plus, so grid cells in one
+window piece share a band, and that band is searched once.  The
 number of sequences scanned is counted by a Durfee-square recurrence
 (`_graphical_counts`).  Full enumeration (`enumerate_graphical`) over
 the alphabet 0..n-1 is kept as the tests' oracle.
@@ -342,17 +344,30 @@ def verify_half_order(n: int, m: int) -> VerificationReport:
                               mismatches)
 
 
+@functools.lru_cache(maxsize=1)
+def _window_band(n: int, m: int, lo: int, lo_strict: int, hi: int, hi_strict: int) -> tuple:
+    """(violations, extremal, low_max) of one window band: `_band_sets` as
+    tuples and `_low_max`.  One band at a time is kept, which is enough
+    for `window_summary`: the thresholds never decrease as d_plus grows,
+    so the grid cells of one window piece come in a row."""
+    violations, extremal = _band_sets(n, m, lo, lo_strict, hi, hi_strict)
+    return tuple(violations), tuple(extremal), _low_max(n, m, lo, hi_strict)
+
+
 def verify_window(n: int, m: int, d_plus) -> VerificationReport:
     """Scan every graphical sequence for an entry in [d_minus bound, d_plus],
-    decided on exact integer thresholds; needs sqrt(d n) < d_plus <= n-1."""
+    decided on exact integer thresholds; needs sqrt(d n) < d_plus <= n-1.
+
+    Grid cells in one window piece have the same thresholds and share one
+    band, searched once (`_window_band`); each report gets its own lists."""
     p = GraphParams(n, m)
     lo, lo_strict, hi, hi_strict = window_thresholds(p, d_plus)
     if lo == 0:  # lo = ceil(opt_value), 0 exactly when d_plus <= sqrt(d n)
         require_above_root(p, d_plus)  # raises
-    violations, extremal = _band_sets(n, m, lo, lo_strict, hi, hi_strict)
-    low_max = _low_max(n, m, lo, hi_strict)
-    return VerificationReport(p, d_plus, _graphical_counts(n)[m], violations, extremal,
-                              empirical_d_minus=low_max, bound_ok=low_max >= lo)
+    violations, extremal, low_max = _window_band(n, m, lo, lo_strict, hi, hi_strict)
+    return VerificationReport(p, d_plus, _graphical_counts(n)[m], list(violations),
+                              list(extremal), empirical_d_minus=low_max,
+                              bound_ok=low_max >= lo)
 
 
 def window_grid(n: int, m: int) -> list:

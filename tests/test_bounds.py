@@ -1,6 +1,9 @@
 import math
+from bisect import bisect_left
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from degreeintervals import (
@@ -19,7 +22,9 @@ from degreeintervals import (
     symmetric_d_plus,
     window_grid,
 )
-from degreeintervals.bounds import half_order_thresholds, window_thresholds
+from degreeintervals import bounds
+from degreeintervals.bounds import (half_order_thresholds, require_window_domain,
+                                    window_thresholds)
 
 
 def all_params(n_max):
@@ -166,7 +171,80 @@ def tenth_grid(n_max):
                 yield GraphParams(n, m), dp
 
 
+def fraction_window_thresholds(p, d_plus):
+    """Reference for `window_thresholds`: the domain checked in Fractions by
+    `require_window_domain`, then the same sign tests on the ratio of
+    Fraction(d_plus)."""
+    require_window_domain(p, d_plus)
+    q = Fraction(d_plus)
+    hi, hi_strict = math.floor(q), math.ceil(q) - 1
+    a, b = q.as_integer_ratio()
+    u, v = (2 * p.m).as_integer_ratio()  # d n = 2m = u/v
+    disc = a * a * v - u * b * b  # sign of d_plus^2 - d n
+    if disc <= 0:
+        return 0, 1, hi, hi_strict
+    slope = a * p.n * v - u * b  # > 0 because d_plus > d
+
+    def excess(k):  # has the sign of k - d_minus
+        rhs = u - k * p.n * v
+        return 1 if rhs <= 0 else k * k * slope * slope * v - rhs * rhs * disc
+
+    lo = bisect_left(range(p.n), 0, key=excess)
+    return lo, lo + (excess(lo) == 0), hi, hi_strict
+
+
+def outcome(f, *args):
+    """The value of f(*args), or the type and text of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 class TestWindowThresholds:
+    def test_integer_version_equals_fraction_reference(self):
+        cases = list(tenth_grid(12))
+        for p in all_params(8):  # degenerate m included
+            quarters = [Fraction(k, 4) for k in range(-4, 4 * p.n + 1)]
+            cases += [(p, q) for q in quarters] + [(p, float(q)) for q in quarters]
+        for n in (5, 9, 20):  # fractional edge counts
+            for r in (Fraction(1, 7), Fraction(3, 7), Fraction(5, 11), Fraction(9, 13)):
+                p = GraphParams.from_density(n, r * (n - 1))
+                assert p.m.denominator > 1
+                cases += [(p, Fraction(k, 10)) for k in range(10 * n + 1)]
+                cases += [(p, k / 10) for k in range(10 * n + 1)]
+        cases += [(GraphParams(9, 18), x) for x in (
+            math.nan, math.inf, -math.inf, True, False, np.int64(7), np.float64(6.5),
+            Decimal("6.5"), Decimal("NaN"), Decimal("Infinity"))]
+        cases += [(GraphParams(4, 1), True), (GraphParams(2, 1), math.nan)]
+        kinds = []
+        for p, dp in cases:
+            got, want = outcome(window_thresholds, p, dp), outcome(fraction_window_thresholds, p, dp)
+            assert got == want, (p, dp)
+            if not isinstance(want[0], type):
+                kinds.append("value")
+            elif want[0] is DomainError:
+                kinds.append("degenerate" if want[1].startswith("average") else "outside")
+            else:
+                kinds.append(want[0].__name__)
+        # Decimal("NaN") cannot be ordered against d, so both raise InvalidOperation
+        assert {k: kinds.count(k) for k in set(kinds)} == {
+            "value": 10291, "degenerate": 701, "outside": 4410, "InvalidOperation": 1}
+
+    def test_in_domain_inputs_skip_the_fraction_check(self, monkeypatch):
+        # The domain is decided on integer ratios; the Fraction check only
+        # raises, or serves a d_plus without `as_integer_ratio`.
+        def stub(p, d_plus):
+            raise AssertionError(f"require_window_domain({p}, {d_plus!r}) called")
+        cells = list(tenth_grid(8)) + [(GraphParams.from_density(9, Fraction(9, 2)), 8.0)]
+        cells += [(GraphParams(9, 18), dp) for dp in (Fraction(17, 4), 4.25, 8)]
+        cells += [(GraphParams(4, 1), True)]
+        expected = [window_thresholds(p, dp) for p, dp in cells]
+        monkeypatch.setattr(bounds, "require_window_domain", stub)
+        assert [window_thresholds(p, dp) for p, dp in cells] == expected
+        with pytest.raises(AssertionError):
+            window_thresholds(GraphParams(9, 18), np.int64(8))
+
     def test_float_misses_the_integer(self):
         # n = 12: the float bound lands a few ulps off an exact integer
         cases = [(52, Fraction(51, 5), 1), (54, Fraction(52, 5), 2),

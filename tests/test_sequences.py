@@ -419,6 +419,38 @@ class TestVerifyWindow:
             # exact steps of one tenth
             assert all(dp == Fraction(round(dp * 10), 10) for dp in grid)
 
+    def test_one_search_per_window_piece(self):
+        # Along each m's grid the thresholds never decrease, so the cells of
+        # one window piece come in a row and the one-band cache misses
+        # exactly once per piece.
+        n, pieces = 9, set()
+        for m in range(1, n * (n - 1) // 2):
+            walk = [window_thresholds(GraphParams(n, m), dp) for dp in window_grid(n, m)]
+            assert all(a <= b for prev, t in zip(walk, walk[1:]) for a, b in zip(prev, t))
+            pieces.update((m, t) for t in walk)
+        sequences._window_band.cache_clear()
+        summary = sequences.window_summary(n)
+        info = sequences._window_band.cache_info()
+        assert (info.misses, info.hits + info.misses, info.currsize) == \
+            (len(pieces), summary.cells, 1)
+        assert len(pieces) < summary.cells
+
+    def test_reports_from_one_band_own_their_lists(self):
+        sequences._window_band.cache_clear()
+        first, second = verify_window(9, 18, Fraction(7)), verify_window(9, 18, 7.0)
+        assert sequences._window_band.cache_info().hits == 1
+        first.violations.append((8,) * 9)
+        first.extremal_sequences.append((8,) * 9)
+        assert second.violations == second.extremal_sequences == []
+        third = verify_window(9, 18, 7)
+        assert third.violations == third.extremal_sequences == []
+
+    def test_order_limit_error_is_not_cached(self):
+        for _ in range(2):
+            with pytest.raises(EnumerationLimitError,
+                               match=r"^order 13 above enumeration limit 12$"):
+                verify_window(13, 30, 11)
+
     def test_exhaustive_small_orders(self):
         for n in range(3, 8):
             for m in range(1, n * (n - 1) // 2):
