@@ -17,7 +17,6 @@ from .bounds import (
     ell_min,
     extremal_profile,
     half_order_interval,
-    is_above_sqrt_dn,
     opt_value,
     scaled_d_minus,
     scaled_d_minus_deriv,
@@ -73,8 +72,8 @@ __all__ = [
     "edge_count_slack", "ell_min", "empirical_d_minus",
     "enumerate_graphical", "extremal_profile", "find_vertex_in_interval",
     "format_edge_list", "graphical_sequences", "half_order_interval",
-    "is_above_sqrt_dn", "is_graphical", "opt_value", "parse_edge_list",
-    "peel_trace", "realize", "reference_cells", "scaled_d_minus",
-    "scaled_d_minus_deriv", "scaled_ell_min", "solve_grid",
-    "symmetric_d_plus", "verify_half_order", "verify_window", "window_grid",
+    "is_graphical", "opt_value", "parse_edge_list", "peel_trace", "realize",
+    "reference_cells", "scaled_d_minus", "scaled_d_minus_deriv",
+    "scaled_ell_min", "solve_grid", "symmetric_d_plus", "verify_half_order",
+    "verify_window", "window_grid",
 ]

@@ -19,7 +19,9 @@ Half-order quantities and the two edge-counting slack polynomials are
 evaluated in exact rational arithmetic.  Window values involve a square
 root and are floats with an exactly formed discriminant.  Where an
 interval end meets an integer degree, `half_order_thresholds` and
-`window_thresholds` decide it exactly, in integers.
+`window_thresholds` decide it exactly, in integers.  The window domain
+0 < d < n-1, d < d_plus <= n-1 is decided in one place, `_window_ratios`,
+also in integers; every window function checks its arguments there.
 """
 
 import math
@@ -31,24 +33,41 @@ from .errors import DomainError
 from .params import GraphParams, Interval
 
 
-def _require_nondegenerate(p: GraphParams):
-    if p.m == 0 or p.m == p.max_edges:
+def _require_nondegenerate(p: GraphParams) -> tuple:
+    # 0 < d < n-1, decided in integers on d n = 2m = u/v; returns (u, v).
+    u, v = p.m.as_integer_ratio()
+    u *= 2
+    if not 0 < u < p.n * (p.n - 1) * v:
         raise DomainError(
             f"average degree {p.d} is degenerate for order {p.n}; need 0 < d < n-1")
+    return u, v
 
 
-def is_above_sqrt_dn(p: GraphParams, d_plus) -> bool:
-    """Branch test d_plus > sqrt(d*n), exact for rational d_plus, floats included."""
-    return Fraction(d_plus) ** 2 > p.d * p.n
+def _window_ratios(p: GraphParams, d_plus) -> tuple:
+    """The window-domain check, 0 < d < n-1 and d < d_plus <= n-1, in
+    integers: (a, b, u, v) with d_plus = a/b and d n = u/v.  A d_plus with
+    no integer ratio (numpy ints, nan, infinities) is compared as given,
+    so an unordered value keeps its own error."""
+    u, v = _require_nondegenerate(p)
+    n = p.n
+    try:
+        a, b = d_plus.as_integer_ratio()
+    except (AttributeError, ValueError, OverflowError):
+        inside = p.d < d_plus <= n - 1
+        if inside:
+            a, b = Fraction(d_plus).as_integer_ratio()
+    else:
+        inside = u * b < a * n * v and a <= (n - 1) * b
+    if not inside:
+        raise DomainError(f"d_plus={d_plus} outside (d, n-1] = ({p.d}, {n - 1}]")
+    return a, b, u, v
 
 
 def require_window_domain(p: GraphParams, d_plus) -> Fraction:
-    """The window-domain check: 0 < d < n-1 and d < d_plus <= n-1.  Returns
-    the exact d_plus^2 - d*n, positive iff d_plus > sqrt(d*n)."""
-    _require_nondegenerate(p)
-    if not p.d < d_plus <= p.n - 1:
-        raise DomainError(f"d_plus={d_plus} outside (d, n-1] = ({p.d}, {p.n - 1}]")
-    return Fraction(d_plus) ** 2 - 2 * p.m  # d*n = 2m exactly
+    """The window-domain check of `_window_ratios`.  Returns the exact
+    d_plus^2 - d*n, positive iff d_plus > sqrt(d*n)."""
+    a, b, u, v = _window_ratios(p, d_plus)
+    return Fraction(a * a * v - u * b * b, v * b * b)
 
 
 def require_above_root(p: GraphParams, d_plus) -> Fraction:
@@ -149,24 +168,14 @@ def window_thresholds(p: GraphParams, d_plus) -> tuple:
     and strictly inside iff lo_strict <= k <= hi_strict.  lo is 0 exactly
     when d_plus <= sqrt(d n), since the d_minus bound is positive above.
 
-    Computed in integers, exact for any rational d_plus = a/b, floats
-    included: with d n = u/v, the domain is 0 < m < C(n,2), u b < a n v
-    and a <= (n-1) b, and above sqrt(d n), k >= d_minus iff
+    Computed in integers, exact for any rational d_plus, floats included:
+    with d_plus = a/b and d n = u/v from the domain check
+    `_window_ratios`, above sqrt(d n) k >= d_minus iff
     k(a n v - u b) >= (u - k n v) sqrt((a^2 v - u b^2)/v), decided by sign
-    and by squaring.  A d_plus with no integer ratio (nan, infinities) or
-    outside the domain gets the `require_window_domain` error.
+    and by squaring.
     """
+    a, b, u, v = _window_ratios(p, d_plus)
     n = p.n
-    u, v = p.m.as_integer_ratio()
-    u *= 2  # d n = 2m = u/v
-    try:
-        a, b = d_plus.as_integer_ratio()
-    except (AttributeError, ValueError, OverflowError):
-        a = b = None
-    if a is None or not (0 < u < 2 * p.max_edges * v and u * b < a * n * v
-                         and a <= (n - 1) * b):
-        require_window_domain(p, d_plus)  # raises, unless the ratio method is missing
-        a, b = Fraction(d_plus).as_integer_ratio()
     hi, hi_strict = a // b, -(-a // b) - 1
     disc = a * a * v - u * b * b  # sign of d_plus^2 - d n
     if disc <= 0:

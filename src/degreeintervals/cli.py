@@ -176,14 +176,14 @@ def cmd_verify(args) -> int:
                   f"{s.extremal} extremal, {s.mismatches} profile mismatches")
         else:
             print(f"n={n}: {s.cells} (m, d_plus) cells, {s.violations} violations")
-    cells, seqs, violations, _, mismatches, bound_failures = map(sum, zip(*rows))
+    t = sequences.OrderSummary.total(rows)
     if half_order:
-        print(f"total: {seqs} sequences, {violations} violations "
-              f"({mismatches} profile mismatches)")
+        print(f"total: {t.sequences} sequences, {t.violations} violations "
+              f"({t.mismatches} profile mismatches)")
     else:
-        print(f"total: {cells} cells, {violations} violations, "
-              f"{bound_failures} empirical-vs-theory failures")
-    return 0 if violations == 0 and bound_failures == 0 else 1
+        print(f"total: {t.cells} cells, {t.violations} violations, "
+              f"{t.bound_failures} empirical-vs-theory failures")
+    return 0 if t.violations == 0 and t.bound_failures == 0 else 1
 
 
 def cmd_extremal(args) -> int:

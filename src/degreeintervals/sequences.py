@@ -382,7 +382,8 @@ def window_grid(n: int, m: int) -> list:
 
 
 class OrderSummary(NamedTuple):
-    """Totals of one exhaustive scan over every 0 < m < n(n-1)/2 of an order."""
+    """Totals of one exhaustive scan over every 0 < m < n(n-1)/2 of an
+    order, or, from `total`, of several orders."""
 
     cells: int
     sequences: int
@@ -391,14 +392,17 @@ class OrderSummary(NamedTuple):
     mismatches: int
     bound_failures: int
 
+    @classmethod
+    def total(cls, rows) -> "OrderSummary":
+        """Column sums of `rows`, each a tuple in the field order; zeros
+        when there are none."""
+        return cls(*map(sum, zip(cls(0, 0, 0, 0, 0, 0), *rows)))
+
 
 def _summarize(reports) -> OrderSummary:
-    total = OrderSummary(0, 0, 0, 0, 0, 0)
-    for r in reports:
-        counts = (1, r.sequences_checked, len(r.violations), len(r.extremal_sequences),
-                  len(r.profile_mismatches), r.bound_ok is False)
-        total = OrderSummary(*(a + b for a, b in zip(total, counts)))
-    return total
+    return OrderSummary.total(
+        (1, r.sequences_checked, len(r.violations), len(r.extremal_sequences),
+         len(r.profile_mismatches), r.bound_ok is False) for r in reports)
 
 
 def half_order_summary(n: int) -> OrderSummary:

@@ -28,13 +28,14 @@ from degreeintervals import (
     build_split_extremal,
     closed_form_solution,
     complement_edge_count_slack,
+    d_minus_bound,
     d_plus_test_grid,
     edge_count_slack,
     ell_min,
+    empirical_d_minus,
     extremal_profile,
     graphical_sequences,
     half_order_interval,
-    is_above_sqrt_dn,
     is_graphical,
     opt_value,
     peel_trace,
@@ -47,6 +48,7 @@ from degreeintervals import (
     verify_window,
     window_grid,
 )
+from degreeintervals.bounds import require_window_domain, window_thresholds
 from degreeintervals.cli import main as cli_main, read_sweep_csv
 from degreeintervals.extremal import _biregular_pairs
 
@@ -164,7 +166,8 @@ def test_05_window_length_identities():
         worst = max(worst, abs(ell_min(p, dp) - n / 2) / n)
     grid_ok = True
     for p in reference_cells():
-        ells = [ell_min(p, dp) for dp in d_plus_test_grid(p) if is_above_sqrt_dn(p, dp)]
+        ells = [ell_min(p, dp) for dp in d_plus_test_grid(p)
+                if require_window_domain(p, dp) > 0]
         if min(ells) > p.n / 2 + 1e-9:
             grid_ok = False
     ok = worst <= 1e-12 and grid_ok
@@ -329,3 +332,22 @@ def test_09_plumbing_oracles():
     assert report(9, ok, f"brute-force agreement: {brute_ok}, "
                          f"{round_trips} realizations round-tripped: {round_trip_ok}, "
                          f"1000 peel traces: {peel_ok}")
+
+
+def test_10_window_gap_table():
+    """On six cells fixed in advance (d/n about 1/4 or 1/2, d_plus/n about
+    3/4, 17/20 or 9/10), the exact window optimum `empirical_d_minus` is
+    never below the first integer degree of the window.  The line records
+    its gap to the closed-form bound, which the paper claims is tight up
+    to lower-order terms; orders above the library limit are not run."""
+    cells = [(10, 12, Fraction(15, 2)), (12, 18, Fraction(9)), (10, 25, Fraction(17, 2)),
+             (12, 36, Fraction(51, 5)), (10, 12, Fraction(9)), (12, 18, Fraction(54, 5))]
+    gaps = []
+    ok = True
+    for n, m, dp in cells:
+        p = GraphParams(n, m)
+        exact = empirical_d_minus(n, m, dp)
+        ok &= exact >= window_thresholds(p, dp)[0]
+        gaps.append(exact - d_minus_bound(p, dp))
+    table = ", ".join(f"({n}, {m}, {dp}) {g:.2f}" for (n, m, dp), g in zip(cells, gaps))
+    assert report(10, ok, f"exact optimum minus d_minus bound: {table}")

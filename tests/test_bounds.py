@@ -171,12 +171,22 @@ def tenth_grid(n_max):
                 yield GraphParams(n, m), dp
 
 
+def fraction_window_domain(p, d_plus):
+    """Reference for the window-domain check: 0 < d < n-1 and
+    d < d_plus <= n-1 compared in Fractions, then Fraction(d_plus)."""
+    if p.m == 0 or p.m == p.max_edges:
+        raise DomainError(
+            f"average degree {p.d} is degenerate for order {p.n}; need 0 < d < n-1")
+    if not p.d < d_plus <= p.n - 1:
+        raise DomainError(f"d_plus={d_plus} outside (d, n-1] = ({p.d}, {p.n - 1}]")
+    return Fraction(d_plus)
+
+
 def fraction_window_thresholds(p, d_plus):
     """Reference for `window_thresholds`: the domain checked in Fractions by
-    `require_window_domain`, then the same sign tests on the ratio of
+    `fraction_window_domain`, then the same sign tests on the ratio of
     Fraction(d_plus)."""
-    require_window_domain(p, d_plus)
-    q = Fraction(d_plus)
+    q = fraction_window_domain(p, d_plus)
     hi, hi_strict = math.floor(q), math.ceil(q) - 1
     a, b = q.as_integer_ratio()
     u, v = (2 * p.m).as_integer_ratio()  # d n = 2m = u/v
@@ -221,6 +231,8 @@ class TestWindowThresholds:
         for p, dp in cases:
             got, want = outcome(window_thresholds, p, dp), outcome(fraction_window_thresholds, p, dp)
             assert got == want, (p, dp)
+            disc = outcome(lambda: fraction_window_domain(p, dp) ** 2 - 2 * p.m)
+            assert outcome(require_window_domain, p, dp) == disc, (p, dp)
             if not isinstance(want[0], type):
                 kinds.append("value")
             elif want[0] is DomainError:
@@ -232,15 +244,15 @@ class TestWindowThresholds:
             "value": 10291, "degenerate": 701, "outside": 4410, "InvalidOperation": 1}
 
     def test_in_domain_inputs_skip_the_fraction_check(self, monkeypatch):
-        # The domain is decided on integer ratios; the Fraction check only
-        # raises, or serves a d_plus without `as_integer_ratio`.
-        def stub(p, d_plus):
-            raise AssertionError(f"require_window_domain({p}, {d_plus!r}) called")
+        # The domain is decided on integer ratios; a Fraction is built only
+        # for a d_plus without `as_integer_ratio`.
+        def stub(*args):
+            raise AssertionError(f"Fraction{args!r} built")
         cells = list(tenth_grid(8)) + [(GraphParams.from_density(9, Fraction(9, 2)), 8.0)]
         cells += [(GraphParams(9, 18), dp) for dp in (Fraction(17, 4), 4.25, 8)]
         cells += [(GraphParams(4, 1), True)]
         expected = [window_thresholds(p, dp) for p, dp in cells]
-        monkeypatch.setattr(bounds, "require_window_domain", stub)
+        monkeypatch.setattr(bounds, "Fraction", stub)
         assert [window_thresholds(p, dp) for p, dp in cells] == expected
         with pytest.raises(AssertionError):
             window_thresholds(GraphParams(9, 18), np.int64(8))

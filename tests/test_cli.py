@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -142,6 +143,27 @@ class TestVerify:
         assert rc == 0
         assert "0 violations" in out
 
+    def test_order_two_has_zero_totals(self, capsys):
+        # order 2 has no non-degenerate edge count, so no cell at all
+        for mode, total in (("t1", "total: 0 sequences, 0 violations (0 profile mismatches)"),
+                            ("t2", "total: 0 cells, 0 violations, "
+                                   "0 empirical-vs-theory failures")):
+            rc, out, _ = run(capsys, "verify", "--mode", mode, "--nmax", "2")
+            assert rc == 0
+            assert out.splitlines()[-1] == total
+
+    def test_totals_are_the_sum_of_order_lines(self, capsys):
+        def counts(line, labels):
+            return [int(re.search(rf"(\d+) {label}", line).group(1)) for label in labels]
+        for mode, nmax, labels in (
+                ("t1", 7, ("sequences", "violations", "profile mismatches")),
+                ("t2", 6, (r"(?:\(m, d_plus\) )?cells", "violations"))):
+            rc, out, _ = run(capsys, "verify", "--mode", mode, "--nmax", str(nmax))
+            *orders, total = out.splitlines()
+            assert rc == 0 and len(orders) == nmax - 1
+            sums = [sum(col) for col in zip(*(counts(line, labels) for line in orders))]
+            assert counts(total, labels) == sums and sums[0] > 0
+
     def test_opt_mode_quick(self, capsys):
         rc, out, _ = run(capsys, "verify", "--mode", "opt", "--nmax", "0",
                          "--grid", "quick")
@@ -272,3 +294,12 @@ assert "numpy" not in sys.modules, "numpy was imported"
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_public_names_resolve():
+    names = degreeintervals.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(degreeintervals, n)] == []
+    namespace = {}
+    exec("from degreeintervals import *", namespace)
+    assert set(names) <= namespace.keys()
