@@ -13,8 +13,9 @@ when it passes all of them (at n = 11, 72,674 candidates instead of the
 Both guarantees only ask whether some degree falls in an integer band,
 so the scans never list every sequence.  A violation has every degree
 outside the closed band and an extremal sequence every degree outside
-the strict one, so each is searched over that band's complement; the
-window optimum is found by emptiness checks over such alphabets.  The
+the strict one, so each is searched over that band's complement.  The
+window optimum is read off the extremal sequences, and only when there
+are none is it found by emptiness checks over such alphabets.  The
 window thresholds are step functions of d_plus, so grid cells in one
 window piece share a band, and that band is searched once.  The
 number of sequences scanned is counted by a Durfee-square recurrence
@@ -244,37 +245,6 @@ def _graphical_counts(n: int) -> tuple:
     return tuple((total >> width * 2 * m) & mask for m in range(n * (n - 1) // 2 + 1))
 
 
-def _low_max(n: int, m: int, lo: int, hi_strict: int) -> int:
-    """The least L >= -1 such that a graphical sequence of length n, sum 2m,
-    has every degree <= L or > hi_strict: the least, over all of them, of
-    the largest degree <= hi_strict (-1 when there is none).  The first
-    emptiness check, at L = lo - 1, alone decides whether that reaches lo;
-    the search then walks down or up from there.  It ends by L = hi_strict,
-    where the alphabet is every degree."""
-    if _search(n, m, _outside(n, lo, hi_strict), None):
-        low = lo - 1
-        while low >= 0 and _search(n, m, _outside(n, low, hi_strict), None):
-            low -= 1
-        return low
-    low = lo
-    while low < hi_strict and not _search(n, m, _outside(n, low + 1, hi_strict), None):
-        low += 1
-    return low
-
-
-def empirical_d_minus(n: int, m: int, d_plus) -> int:
-    """Exact minimum, over all graphical sequences with sum 2m, of the
-    largest degree strictly below d_plus.
-
-    This is the true optimum the closed-form bound approximates: the
-    sequence attaining it has every degree <= the returned value or
-    >= d_plus.  Comparisons against d_plus reduce to integer thresholds,
-    so the scan is exact for any rational d_plus.
-    """
-    lo, _, _, hi_strict = window_thresholds(GraphParams(n, m), d_plus)
-    return _low_max(n, m, lo, hi_strict)
-
-
 def _band_sets(n: int, m: int, lo: int, lo_strict: int, hi: int, hi_strict: int) -> tuple:
     """(violations, extremal): the graphical sequences of length n, sum 2m,
     with no degree in [lo, hi], and those with none in [lo_strict,
@@ -347,11 +317,43 @@ def verify_half_order(n: int, m: int) -> VerificationReport:
 @functools.lru_cache(maxsize=1)
 def _window_band(n: int, m: int, lo: int, lo_strict: int, hi: int, hi_strict: int) -> tuple:
     """(violations, extremal, low_max) of one window band: `_band_sets` as
-    tuples and `_low_max`.  One band at a time is kept, which is enough
-    for `window_summary`: the thresholds never decrease as d_plus grows,
-    so the grid cells of one window piece come in a row."""
+    tuples, and the least, over every graphical sequence of length n and
+    sum 2m, of its largest degree <= hi_strict (-1 when it has none).  Any
+    thresholds are accepted, among them those `window_thresholds` gives
+    for every d < d_plus <= n-1, at or below the root sqrt(d n) too.
+
+    Every sequence outside the extremal set has a degree in [lo_strict,
+    hi_strict] and every one inside it has none, so a non-empty extremal
+    set holds the optimum.  Only when it is empty do first-hit checks walk
+    up from lo_strict to the least L with a graphical sequence over
+    [0, L] and [hi_strict+1, n-1]; the walk ends by L = hi_strict, where
+    the alphabet is every degree.  One band at a time is kept, which is
+    enough for `window_summary`: the thresholds never decrease as d_plus
+    grows, so the grid cells of one window piece come in a row."""
     violations, extremal = _band_sets(n, m, lo, lo_strict, hi, hi_strict)
-    return tuple(violations), tuple(extremal), _low_max(n, m, lo, hi_strict)
+    if extremal:
+        low = min(max((d for d in s if d <= hi_strict), default=-1) for s in extremal)
+    else:
+        low = lo_strict
+        while low < hi_strict and not _search(n, m, _outside(n, low + 1, hi_strict), None):
+            low += 1
+    return tuple(violations), tuple(extremal), low
+
+
+def empirical_d_minus(n: int, m: int, d_plus) -> int:
+    """Exact minimum, over all graphical sequences with sum 2m, of the
+    largest degree strictly below d_plus; needs d < d_plus <= n-1, and
+    unlike `verify_window` accepts d_plus at or below the root sqrt(d n).
+
+    This is the true optimum the closed-form bound approximates: the
+    sequence attaining it has every degree <= the returned value or
+    >= d_plus.  Comparisons against d_plus reduce to integer thresholds,
+    so the scan is exact for any rational d_plus.  It is the value
+    `verify_window` reports, read from the same cached band
+    (`_window_band`): taken from the band's extremal sequences, with a
+    walk of emptiness checks only when there are none.
+    """
+    return _window_band(n, m, *window_thresholds(GraphParams(n, m), d_plus))[2]
 
 
 def verify_window(n: int, m: int, d_plus) -> VerificationReport:

@@ -314,6 +314,15 @@ class TestEmpiricalDMinus:
     def test_star_attains_minimum(self):
         assert empirical_d_minus(4, 3, 3) == 1
         assert empirical_d_minus(4, 3, 2.75) == 1
+        # Every quarter-integer d_plus in (d, n-1], at or below the root too,
+        # where lo = 0 and the band's extremal set may be non-empty.
+        for n in range(3, 9):
+            for m in range(1, n * (n - 1) // 2):
+                for q in range(8 * m // n + 1, 4 * (n - 1) + 1):
+                    dp = Fraction(q, 4)
+                    *_, low_max = reference_band_scan(
+                        n, m, *window_thresholds(GraphParams(n, m), dp))
+                    assert empirical_d_minus(n, m, dp) == low_max, (n, m, dp)
 
     def test_relaxation_floor(self):
         for n in range(4, 8):
@@ -444,6 +453,9 @@ class TestVerifyWindow:
         assert second.violations == second.extremal_sequences == []
         third = verify_window(9, 18, 7)
         assert third.violations == third.extremal_sequences == []
+        hits = sequences._window_band.cache_info().hits
+        assert empirical_d_minus(9, 18, 7) == third.empirical_d_minus
+        assert sequences._window_band.cache_info().hits == hits + 1
 
     def test_order_limit_error_is_not_cached(self):
         for _ in range(2):
@@ -495,6 +507,19 @@ class TestBandScanAgainstReference:
                     assert rep.extremal_sequences == extremal, (n, m, dp)
                     assert rep.empirical_d_minus == low_max, (n, m, dp)
                     assert empirical_d_minus(n, m, dp) == low_max, (n, m, dp)
+
+    def test_every_band(self):
+        # Every band, not only those of window cells: every grid cell has an
+        # empty extremal set, so it never reaches the branch that reads the
+        # optimum off that set.
+        for n in range(2, 8):
+            for m in range(n * (n - 1) // 2 + 1):
+                for lo in range(n):
+                    for hi in range(lo, n):
+                        for band in itertools.product([lo], [lo, lo + 1], [hi], [hi, hi - 1]):
+                            _, violations, extremal, low_max = reference_band_scan(n, m, *band)
+                            assert sequences._window_band(n, m, *band) == \
+                                (tuple(violations), tuple(extremal), low_max), (n, m, band)
 
     def test_sequences_are_tuples_of_python_ints(self):
         for n in range(2, 8):
