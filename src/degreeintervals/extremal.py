@@ -122,9 +122,9 @@ def build_near_extremal(n: int, m: int, d_plus) -> ConstructionResult:
     ties toward the lower index.  A heap of (load, index) finds that
     vertex in O((1 + s) log b) per edge, s the dealer's neighbours it
     skips, where a scan of every non-neighbour took O(b) (see
-    `_deal_cross`).  The total is clamped to the cross capacity, so the
-    achieved edge count can fall short of m near the domain boundary;
-    the shortfall shows up in the gap report.
+    `_deal_cross`).  The total is clamped to the cross capacity a*b, so
+    the graph stops at C(a,2) + a*b edges whenever that is below m, well
+    inside the domain too; the shortfall shows up in the gap report.
     """
     p = GraphParams(n, m)
     if p.m.denominator != 1:

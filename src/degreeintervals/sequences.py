@@ -17,8 +17,8 @@ the strict one, so each is searched over that band's complement.  The
 window optimum is read off the extremal sequences, and only when there
 are none is it found by emptiness checks over such alphabets.  The
 window thresholds are step functions of d_plus, so grid cells in one
-window piece share a band, and that band is searched once.  The
-number of sequences scanned is counted by a Durfee-square recurrence
+window piece share a band, and that band is searched once.  Each
+order's sequences are counted once, by a Durfee-square recurrence
 (`_graphical_counts`).  Full enumeration (`enumerate_graphical`) over
 the alphabet 0..n-1 is kept as the tests' oracle.
 
@@ -171,11 +171,13 @@ def _search(n: int, m: int, alphabet: list, out: Optional[list]) -> bool:
     """Appends to out the graphical sequences of length n and sum 2m whose
     every degree lies in `alphabet` (descending), lexicographically
     decreasing; with out None, returns whether there is one.  The one
-    place that enforces `HARD_ORDER_LIMIT`."""
+    place that requires an integer m and enforces `HARD_ORDER_LIMIT`."""
+    if m != int(m):
+        raise DomainError(f"edge count {m!r} is not an integer")
     if n > HARD_ORDER_LIMIT:
         raise EnumerationLimitError(
             f"order {n} above enumeration limit {HARD_ORDER_LIMIT}")
-    return _extend([0] * n, alphabet, 0, out, 0, 2 * m, 0)
+    return _extend([0] * n, alphabet, 0, out, 0, 2 * int(m), 0)
 
 
 def _outside(n: int, a: int, b: int) -> list:
@@ -192,8 +194,8 @@ def enumerate_graphical(n: int, m: int) -> Iterator[DegreeSequence]:
     each complete survivor still passes the full `_eg_ok`.  Over the
     cells 0 < m < 55 of n = 11 that check sees 72,674 leaves, where
     filtering every bounded partition saw 176,482.  The scans do not
-    call it: they count by `_graphical_counts` and search band-avoiding
-    alphabets; it is their test oracle."""
+    call it: they search band-avoiding alphabets, and `half_order_summary`
+    counts each order by `_graphical_counts`; it is their test oracle."""
     GraphParams(n, m)  # validates the order and the edge count
     out = []
     _search(n, m, list(range(n - 1, -1, -1)), out)
@@ -207,11 +209,9 @@ def graphical_sequences(n: int, m: int) -> tuple:
     return tuple(enumerate_graphical(n, m))
 
 
-@functools.lru_cache(maxsize=1)
 def _graphical_counts(n: int) -> tuple:
     """Number of graphical sequences of length n with m edges, indexed by
-    m = 0..C(n,2); built without listing them, and cached one order at a
-    time.
+    m = 0..C(n,2); built without listing them.
 
     A non-zero sequence is a partition whose Ferrers diagram splits into
     its Durfee square h x h (h the largest k with d_k >= k), an arm
@@ -268,15 +268,14 @@ class VerificationReport:
     boundary sequence has a degree outside the closed interval (stars
     and their complements, for example).  Window scans also record the
     empirical optimum and whether it reaches the theory bound (`bound_ok`).
-    `sequences_checked` is the number of graphical sequences of the cell,
-    counted by `_graphical_counts`, not visited one by one: the guarantees
-    are decided by searching only the degrees that avoid the band, and
-    every sequence not found there has a degree inside it.
+    The scan covers every graphical sequence of the cell without visiting
+    them: it searches only the degrees that avoid the band, and every
+    sequence not found there has a degree inside it.  Their number is
+    `_graphical_counts(n)[m]`, counted per order, not per report.
     """
 
     params: GraphParams
     d_plus: Optional[object]
-    sequences_checked: int
     violations: list
     extremal_sequences: list
     profile_mismatches: list = field(default_factory=list)
@@ -310,8 +309,7 @@ def verify_half_order(n: int, m: int) -> VerificationReport:
     if 0 < p.d < n - 1:
         expected = _profile_sequence(p)
         mismatches = [s for s in extremal if s != expected]
-    return VerificationReport(p, None, _graphical_counts(n)[m], violations, extremal,
-                              mismatches)
+    return VerificationReport(p, None, violations, extremal, mismatches)
 
 
 @functools.lru_cache(maxsize=1)
@@ -367,9 +365,8 @@ def verify_window(n: int, m: int, d_plus) -> VerificationReport:
     if lo == 0:  # lo = ceil(opt_value), 0 exactly when d_plus <= sqrt(d n)
         require_above_root(p, d_plus)  # raises
     violations, extremal, low_max = _window_band(n, m, lo, lo_strict, hi, hi_strict)
-    return VerificationReport(p, d_plus, _graphical_counts(n)[m], list(violations),
-                              list(extremal), empirical_d_minus=low_max,
-                              bound_ok=low_max >= lo)
+    return VerificationReport(p, d_plus, list(violations), list(extremal),
+                              empirical_d_minus=low_max, bound_ok=low_max >= lo)
 
 
 def window_grid(n: int, m: int) -> list:
@@ -385,7 +382,9 @@ def window_grid(n: int, m: int) -> list:
 
 class OrderSummary(NamedTuple):
     """Totals of one exhaustive scan over every 0 < m < n(n-1)/2 of an
-    order, or, from `total`, of several orders."""
+    order, or, from `total`, of several orders.  `sequences`, the order's
+    graphical sequences, is set by `half_order_summary`; window summaries
+    leave it 0."""
 
     cells: int
     sequences: int
@@ -403,13 +402,14 @@ class OrderSummary(NamedTuple):
 
 def _summarize(reports) -> OrderSummary:
     return OrderSummary.total(
-        (1, r.sequences_checked, len(r.violations), len(r.extremal_sequences),
+        (1, 0, len(r.violations), len(r.extremal_sequences),
          len(r.profile_mismatches), r.bound_ok is False) for r in reports)
 
 
 def half_order_summary(n: int) -> OrderSummary:
     """`verify_half_order` at order n, totalled over every edge count."""
-    return _summarize(verify_half_order(n, m) for m in range(1, n * (n - 1) // 2))
+    s = _summarize(verify_half_order(n, m) for m in range(1, n * (n - 1) // 2))
+    return s._replace(sequences=sum(_graphical_counts(n)[1:-1]))
 
 
 def window_summary(n: int) -> OrderSummary:

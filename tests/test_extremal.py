@@ -159,6 +159,22 @@ class TestNearExtremal:
                     min_scan_deal(scan, a, b, total)
                     assert heap.edges() == scan.edges(), (a, b, total)
 
+    def test_shortfall_shows_in_gap_report(self):
+        # The cross layer holds at most a*b edges, so the graph stops at
+        # C(a,2) + a*b edges when that is below m, well inside the domain:
+        # five of the six gap-table cells fall short.  The shortfall is the
+        # average-degree gap, 2(m - achieved)/n.
+        cells = [(10, 12, Fraction(15, 2)), (12, 18, Fraction(9)), (10, 25, Fraction(17, 2)),
+                 (12, 36, Fraction(51, 5)), (10, 12, Fraction(9)), (12, 18, Fraction(54, 5)),
+                 (100, 1250, 60), (400, 39900, 300)]
+        achieved = []
+        for n, m, dp in cells:
+            res = build_near_extremal(n, m, dp)
+            achieved.append(res.graph.m)
+            assert res.gap_report["average_degree"] == \
+                pytest.approx(2 * (m - res.graph.m) / n, rel=0, abs=1e-12), (n, m, dp)
+        assert achieved == [9, 18, 24, 30, 9, 11, 1250, 39900]
+
     def test_structure_is_split(self):
         res = build_near_extremal(100, 1250, 60)
         g = res.graph

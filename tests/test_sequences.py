@@ -225,29 +225,51 @@ class TestEnumeration:
         assert totals == [2, 4, 11, 31, 102, 342, 1213, 4361, 16016, 59348]
 
     def test_scans_never_enumerate(self, monkeypatch):
-        # Both verifiers and empirical_d_minus count and search band-avoiding
-        # alphabets; full enumeration is only the tests' oracle.
+        # Both verifiers and empirical_d_minus search band-avoiding alphabets;
+        # full enumeration is only the tests' oracle.  Only half_order_summary
+        # counts, once per order; the window scans never count.
         def stub(n, m):
             raise AssertionError(f"enumerate_graphical({n}, {m}) called")
         monkeypatch.setattr(sequences, "enumerate_graphical", stub)
         monkeypatch.setattr(sequences, "graphical_sequences", stub)
-        assert sequences.half_order_summary(9).sequences == 4359
-        assert sequences.window_summary(7).bound_failures == 0
-        assert verify_window(9, 18, Fraction(7)).sequences_checked == 319
-        assert empirical_d_minus(4, 3, 3) == 1
+        counts = sequences._graphical_counts
+        calls = []
 
-    def test_count_cache_holds_one_order(self):
-        sequences._graphical_counts.cache_clear()
-        first = sequences._graphical_counts(9)
-        assert sequences._graphical_counts(9) is first
-        sequences._graphical_counts(10)
-        info = sequences._graphical_counts.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (1, 2, 1)
-        assert type(first) is tuple and len(first) == 9 * 8 // 2 + 1
+        def counted(n):
+            calls.append(n)
+            return counts(n)
+        monkeypatch.setattr(sequences, "_graphical_counts", counted)
+        assert sequences.half_order_summary(9).sequences == 4359
+        assert calls == [9]
+
+        def no_count(n):
+            raise AssertionError(f"_graphical_counts({n}) called")
+        monkeypatch.setattr(sequences, "_graphical_counts", no_count)
+        summary = sequences.window_summary(7)
+        assert summary.bound_failures == 0 and summary.sequences == 0
+        assert verify_window(9, 18, Fraction(7)).bound_ok
+        assert empirical_d_minus(4, 3, 3) == 1
 
     def test_order_guard(self):
         with pytest.raises(EnumerationLimitError):
             list(enumerate_graphical(13, 5))
+
+    def test_scans_need_an_integer_edge_count(self):
+        # An integer-valued m is taken as its int; any other m is refused
+        # before the order limit, at every scan entry point.
+        assert verify_half_order(4, 3.0) == verify_half_order(4, Fraction(3)) == \
+            verify_half_order(4, 3)
+        assert verify_window(6, 6.0, 5) == verify_window(6, 6, 5)
+        assert empirical_d_minus(6, Fraction(12), 5) == empirical_d_minus(6, 12, 5)
+        assert list(enumerate_graphical(4, 3.0)) == list(enumerate_graphical(4, 3))
+        for scan in (lambda: verify_half_order(4, 2.5), lambda: verify_window(6, 6.5, 5),
+                     lambda: empirical_d_minus(6, Fraction(13, 2), 5),
+                     lambda: list(enumerate_graphical(4, Fraction(5, 2))),
+                     lambda: verify_half_order(13, 5.5), lambda: verify_window(13, 30.5, 11),
+                     lambda: empirical_d_minus(13, Fraction(61, 2), 11),
+                     lambda: list(enumerate_graphical(13, 5.5))):
+            with pytest.raises(DomainError, match="is not an integer$"):
+                scan()
 
     def test_scans_keep_the_order_limit(self):
         # Parameter and window-domain errors come first, then the one order
@@ -342,9 +364,9 @@ class TestVerifyHalfOrder:
     def test_square_case_full_report(self):
         rep = verify_half_order(4, 3)
         assert rep.violations == []
-        assert rep.sequences_checked == 3
         # every sequence here avoids the open interval (1, 2): it holds no integer
         assert rep.extremal_sequences == [(3, 1, 1, 1), (2, 2, 2, 0), (2, 2, 1, 1)]
+        assert sequences._graphical_counts(4)[3] == 3
         # the star and its complement avoid the open interval yet are not
         # the two-endpoint profile; only sequences confined to the closed
         # interval must match it
@@ -487,22 +509,23 @@ class TestBandScanAgainstReference:
         _, lo_strict, _, hi_strict = half_order_thresholds(GraphParams(2, 1))
         assert lo_strict > hi_strict  # n = 2: the strict band is empty
         for n in range(2, 9):
+            total = 0
             for m in range(0, n * (n - 1) // 2 + 1):
                 count, violations, extremal, _ = reference_band_scan(
                     n, m, *half_order_thresholds(GraphParams(n, m)))
                 rep = verify_half_order(n, m)
-                assert rep.sequences_checked == count, (n, m)
                 assert rep.violations == violations, (n, m)
                 assert rep.extremal_sequences == extremal, (n, m)
+                total += count if 0 < m < n * (n - 1) // 2 else 0
+            assert sequences.half_order_summary(n).sequences == total, n
 
     def test_window_cells(self):
         for n in range(3, 9):
             for m in range(1, n * (n - 1) // 2):
                 for dp in window_grid(n, m):
-                    count, violations, extremal, low_max = reference_band_scan(
+                    _, violations, extremal, low_max = reference_band_scan(
                         n, m, *window_thresholds(GraphParams(n, m), dp))
                     rep = verify_window(n, m, dp)
-                    assert rep.sequences_checked == count, (n, m, dp)
                     assert rep.violations == violations, (n, m, dp)
                     assert rep.extremal_sequences == extremal, (n, m, dp)
                     assert rep.empirical_d_minus == low_max, (n, m, dp)
