@@ -493,6 +493,25 @@ class TestVerifyWindow:
                     assert rep.violations == [], (n, m, dp)
                     assert rep.bound_ok, (n, m, dp)
 
+    def test_integer_d_plus_cover_every_real_d_plus(self):
+        # For real d_plus in (t-1, t], t an integer, hi_strict is t-1 and lo
+        # is at most lo(t), so a pass at t proves the window at d_plus.
+        grid_cells = integer_cells = 0
+        for n in range(2, 13):
+            for m in range(1, n * (n - 1) // 2):
+                p = GraphParams(n, m)
+                for dp in window_grid(n, m):
+                    lo, _, _, hi_strict = window_thresholds(p, dp)
+                    t_lo, _, _, t_hi_strict = window_thresholds(p, math.ceil(dp))
+                    assert (t_hi_strict, t_lo >= lo) == (hi_strict, True), (n, m, dp)
+                    grid_cells += 1
+                # every integer d_plus in (sqrt(2m), n-1]
+                for t in range(math.isqrt(2 * m) + 1, n):
+                    rep = verify_window(n, m, t)
+                    assert rep.bound_ok and rep.violations == [], (n, m, t)
+                    integer_cells += 1
+        assert (grid_cells, integer_cells) == (7089, 810)
+
 
 def reference_band_scan(n, m, lo, lo_strict, hi, hi_strict):
     """Count, violations, extremal sequences and the least largest degree
