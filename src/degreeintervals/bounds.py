@@ -208,32 +208,26 @@ def symmetric_d_plus(p: GraphParams, d_minus) -> float:
     return (p.n - 1) - low
 
 
-def edge_count_slack(x, p: GraphParams, expanded: bool = False) -> Fraction:
+def edge_count_slack(x, p: GraphParams) -> Fraction:
     """Slack polynomial of the degree-sum count on the graph side.
 
     Nonnegative whenever x is the clique-side fraction of a graph with no
     degree strictly inside the half-order interval.  Factored form
-    (x n - 1)(x(n-1) - d)/(n-1); `expanded` evaluates the defining sum
-    instead.  Both are exact and must agree.
+    (x n - 1)(x(n-1) - d)/(n-1); the tests check it against the defining
+    sum, exactly.
     """
     x = Fraction(x)
     n = p.n
-    if expanded:
-        low = p.d - Fraction(n - 2, 2 * (n - 1)) * p.d
-        return x * (x * n - 1) + 2 * (1 - x) * low - p.d
     return (x * n - 1) * (x * (n - 1) - p.d) / (n - 1)
 
 
-def complement_edge_count_slack(x, p: GraphParams, expanded: bool = False) -> Fraction:
+def complement_edge_count_slack(x, p: GraphParams) -> Fraction:
     """Slack polynomial of the same count applied to the complement.
 
     Factored form (x(n-1) - d)((x-1) n + 1)/(n-1).
     """
     x = Fraction(x)
     n = p.n
-    if expanded:
-        high = n - 1 - p.d - Fraction(n - 2, 2 * (n - 1)) * p.d_bar
-        return (1 - x) * ((1 - x) * n - 1) + 2 * x * high - p.d_bar
     return (x * (n - 1) - p.d) * ((x - 1) * n + 1) / (n - 1)
 
 

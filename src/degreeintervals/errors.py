@@ -21,5 +21,9 @@ class EnumerationLimitError(ValueError):
     """Requested sequence scan is above the order limit `sequences.HARD_ORDER_LIMIT`."""
 
 
-class InfeasibleSearchError(RuntimeError):
-    """The grid solver found no feasible point; cannot happen for valid input."""
+class InfeasibleSearchError(ValueError):
+    """The grid solver found no feasible point.
+
+    This happens for valid input too: the grid keeps x >= `optim.X_EDGE`,
+    where the cross constraint fails once d is below about
+    2e-9 d_plus (very low densities, or very large orders)."""

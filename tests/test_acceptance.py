@@ -52,6 +52,7 @@ from degreeintervals.bounds import require_window_domain, window_thresholds
 from degreeintervals.cli import main as cli_main, read_sweep_csv
 from degreeintervals.extremal import _biregular_pairs
 from degreeintervals.sequences import _graphical_counts
+from test_bounds import expanded_complement_edge_count_slack, expanded_edge_count_slack
 
 
 def report(idx, ok, detail):
@@ -231,8 +232,8 @@ def test_07_calculus_checks():
         zeros_ok &= complement_edge_count_slack(p.d / (n - 1), p) == 0
         zeros_ok &= complement_edge_count_slack(1 - Fraction(1, n), p) == 0
         for x in [Fraction(j, 23) for j in range(24)]:
-            forms_ok &= edge_count_slack(x, p, expanded=True) == edge_count_slack(x, p)
-            forms_ok &= complement_edge_count_slack(x, p, expanded=True) == \
+            forms_ok &= expanded_edge_count_slack(x, p) == edge_count_slack(x, p)
+            forms_ok &= expanded_complement_edge_count_slack(x, p) == \
                 complement_edge_count_slack(x, p)
     ok = min_deriv >= 0.0 and worst_fd <= 1e-6 and zeros_ok and forms_ok
     assert report(7, ok, f"min derivative {min_deriv:.2e}, worst FD rel err "

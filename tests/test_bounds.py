@@ -328,6 +328,20 @@ class TestSymmetricUpper:
             symmetric_d_plus(GraphParams(4, 3), 1.6)  # d_minus >= d
 
 
+def expanded_edge_count_slack(x, p):
+    """Reference for `edge_count_slack`: its defining sum, exact."""
+    x = Fraction(x)
+    low = p.d - Fraction(p.n - 2, 2 * (p.n - 1)) * p.d
+    return x * (x * p.n - 1) + 2 * (1 - x) * low - p.d
+
+
+def expanded_complement_edge_count_slack(x, p):
+    """Reference for `complement_edge_count_slack`: its defining sum, exact."""
+    x = Fraction(x)
+    high = p.n - 1 - p.d - Fraction(p.n - 2, 2 * (p.n - 1)) * p.d_bar
+    return (1 - x) * ((1 - x) * p.n - 1) + 2 * x * high - p.d_bar
+
+
 class TestSlackPolynomials:
     @pytest.mark.parametrize("n,m", [(4, 3), (5, 7), (9, 14), (11, 30)])
     def test_known_zeros_exact(self, n, m):
@@ -342,8 +356,8 @@ class TestSlackPolynomials:
         p = GraphParams(n, m)
         xs = [Fraction(k, 37) for k in range(0, 38, 5)] + [0.3125, 0.875]
         for x in xs:
-            assert edge_count_slack(x, p, expanded=True) == edge_count_slack(x, p)
-            assert complement_edge_count_slack(x, p, expanded=True) == \
+            assert expanded_edge_count_slack(x, p) == edge_count_slack(x, p)
+            assert expanded_complement_edge_count_slack(x, p) == \
                 complement_edge_count_slack(x, p)
 
     def test_strict_convexity_second_differences(self):

@@ -265,6 +265,15 @@ class TestOpt:
             "grid oracle: d_minus = 0.89898\n"
             "difference : 1.55e-07\n")
 
+    def test_no_feasible_grid_point_is_an_argument_error(self, capsys):
+        # A valid cell where the grid, which keeps x >= X_EDGE, has no
+        # feasible point: an error message and exit 2, no traceback.
+        rc, out, err = run(capsys, "opt", "--n", "1000000000000", "--m", "1000000000000",
+                           "--dplus", "999999999999")
+        assert (rc, out) == (2, "")
+        assert err == ("error: no feasible grid point for n=1000000000000, d=2, "
+                       "d_plus=999999999999\n")
+
     def test_grid_size_is_not_an_option(self, capsys):
         rc, out, err = run(capsys, "opt", "--n", "100", "--m", "1250", "--dplus", "60",
                            "--steps", "100")
@@ -277,16 +286,19 @@ def test_unknown_command_exits_two(capsys):
 
 
 def test_numpy_stays_off_the_import_path(tmp_path):
-    # Only the grid oracle needs numpy; a fresh interpreter shows what the
-    # package and these commands import.
+    # The package has no third-party runtime dependency; a fresh
+    # interpreter with numpy blocked runs every command that uses the grid
+    # oracle and a few others.
     script = """
 import sys
+sys.modules["numpy"] = None
 import degreeintervals
 from degreeintervals.cli import main
 for argv in (["verify", "--mode", "t1", "--nmax", "6"], ["check-seq", "--seq", "3,3,1,1"],
-             ["realize", "--seq", "3,1,1,1"], ["extremal", "--n", "4", "--m", "3"]):
+             ["realize", "--seq", "3,1,1,1"], ["extremal", "--n", "4", "--m", "3"],
+             ["opt", "--n", "50", "--m", "500", "--dplus", "35"],
+             ["verify", "--mode", "opt", "--grid", "quick"]):
     main(argv)
-assert "numpy" not in sys.modules, "numpy was imported"
 """
     src = str(Path(degreeintervals.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

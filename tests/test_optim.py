@@ -99,80 +99,85 @@ HUGE = (GraphParams(10**10, 5 * 10**11), 10**10 - 1)
 
 
 def oracle_cases():
-    """The cells on which the library must equal `dense_solve_grid`, in
-    batches: one per reference cell, its d_plus values solved one by one,
-    and one per window-grid (n, m), solved in lockstep."""
+    """The cells on which `solve_grid` must equal `dense_solve_grid`."""
     for p in reference_cells(sizes=(10, 20, 37)):
-        yield False, [(p, dp) for count in (7, 12) for dp in d_plus_test_grid(p, count)]
+        for count in (7, 12):
+            for dp in d_plus_test_grid(p, count):
+                yield p, dp
     for n in range(2, 8):
         for m in range(1, n * (n - 1) // 2):
-            yield True, [(GraphParams(n, m), dp) for dp in window_grid(n, m)]
-    yield False, BELOW_ROOT + [(TINY, 5), (TINY, Fraction(1, 10**11)), HUGE]
+            for dp in window_grid(n, m):
+                yield GraphParams(n, m), dp
+    yield from BELOW_ROOT
+    yield from [(TINY, 5), (TINY, Fraction(1, 10**11)), HUGE,
+                (GraphParams(100, 1250), 60.5), (GraphParams(100, 1250), 99)]
 
 
 def recorded_rounds(cells):
-    """(d, n, xs, bs, k) of every `_round_best` call while `_solve_many`
-    solves `cells`: the grids of real rounds, with their analytic starts."""
+    """(d, n, xs, bs, bound) of every `_joint_round` call while
+    `solve_grid` solves `cells`: the grids of real rounds."""
     calls = []
 
-    def record(d, n, xs, bs, k):
-        calls.append((d, n, xs, bs, k))
-        return round_best(d, n, xs, bs, k)
+    def record(*args):
+        calls.append(args)
+        return joint_round(*args)
 
-    round_best = optim._round_best
-    optim._round_best = record
+    joint_round = optim._joint_round
+    optim._joint_round = record
     try:
-        optim._solve_many(cells)
+        for p, dp in cells:
+            solve_grid(p, dp)
     finally:
-        optim._round_best = round_best
+        optim._joint_round = joint_round
     return calls
 
 
+def real_rounds():
+    return recorded_rounds([(p, dp) for p in reference_cells(sizes=(20, 37))
+                            for dp in d_plus_test_grid(p, 4)] + BELOW_ROOT)
+
+
 def tied_rounds(seed, count):
-    """Rounds of three problems each on windows so narrow that many grid
-    points share one objective value, across columns and across rows,
-    some with the feasibility boundary inside the window."""
+    """(d, n, xs, bs) of rounds on windows so narrow that many grid points
+    share one objective value, across columns and across rows, some with
+    the feasibility boundary inside the window."""
     rng = random.Random(seed)
     for _ in range(count):
-        d, n, xs, bs = [], [], [], []
-        for _ in range(3):
-            dk, nk = rng.uniform(0.5, 50.0), float(rng.randint(2, 200))
-            x = rng.choice([X_EDGE, rng.uniform(0.01, 0.99)])
-            t = min(dk / x, (dk + x * x * nk) / (2.0 * x))
-            b_w = 10.0 ** rng.uniform(-15, -3) * t
-            b_lo = rng.choice([t - b_w * rng.random(), min(t, 10.0 * dk)])
-            d.append(dk)
-            n.append(nk)
-            xs.append(np.linspace(x, x + 10.0 ** rng.uniform(-22, -8), GRID_STEPS))
-            bs.append([b_lo - rng.choice([0.0, b_w]), *np.linspace(b_lo, b_lo + b_w, GRID_STEPS),
-                       np.inf])
-        yield np.array(d)[:, None], np.array(n)[:, None], np.array(xs), np.array(bs), None
+        d, n = rng.uniform(0.5, 50.0), float(rng.randint(2, 200))
+        x = rng.choice([X_EDGE, rng.uniform(0.01, 0.99)])
+        t = min(d / x, (d + x * x * n) / (2.0 * x))
+        b_w = 10.0 ** rng.uniform(-15, -3) * t
+        b_lo = rng.choice([t - b_w * rng.random(), min(t, 10.0 * d)])
+        xs = np.linspace(x, x + 10.0 ** rng.uniform(-22, -8), GRID_STEPS).tolist()
+        bs = [b_lo - rng.choice([0.0, b_w]), *np.linspace(b_lo, b_lo + b_w, GRID_STEPS).tolist(),
+              math.inf]
+        yield d, n, xs, bs
 
 
 def dense_argmin(d, n, xs, bs):
-    """Each problem's (objective, x, dbar_plus) by float.hex at the dense
-    scan's row-major argmin over the grid xs x bs (its finite columns,
-    deduplicated), None where no point is feasible; and how many of the
-    problems reach their least objective at more than one point."""
-    best, tied = [], 0
-    for dk, nk, x, b in zip(d[:, 0], n[:, 0], xs, bs):
-        b = np.unique(b[np.isfinite(b)])
-        dbar_minus, cross = dense_rows(dk[None, None], nk[None, None], x[None, :], b[None, :])
-        feas = ((dbar_minus >= 0.0) & (cross >= 0.0))[0]
-        obj = np.where(feas, dbar_minus[0], np.inf)
-        i, j = np.unravel_index(np.argmin(obj), obj.shape)
-        point = (float(obj[i, j]).hex(), float(x[i]).hex(), float(b[j]).hex())
-        best.append(point if feas.any() else None)
-        tied += int((obj == obj[i, j]).sum() > 1)
-    return best, tied
+    """(objective, x, dbar_plus) by float.hex at the dense scan's
+    row-major argmin over the grid xs x bs (its finite columns,
+    deduplicated), None where no point is feasible; and whether the least
+    objective is reached at more than one point."""
+    xs, bs = np.array(xs), np.unique([b for b in bs if b < math.inf])
+    dbar_minus, cross = dense_rows(d, n, xs, bs)
+    feas = (dbar_minus >= 0.0) & (cross >= 0.0)
+    obj = np.where(feas, dbar_minus, np.inf)
+    i, j = np.unravel_index(np.argmin(obj), obj.shape)
+    point = (float(obj[i, j]).hex(), float(xs[i]).hex(), float(bs[j]).hex())
+    return point if feas.any() else None, bool((obj == obj[i, j]).sum() > 1)
 
 
 def dense_rows(d, n, xs, bs):
-    """dbar_minus and cross at every point of the grid xs x bs, one
-    problem per row of xs."""
-    X, B = xs[:, :, None], bs[:, None, :]
-    dbar_minus = (d[:, :, None] - X * B) / (1.0 - X)
-    return dbar_minus, (1.0 - X) * dbar_minus - (B - X * n[:, :, None]) * X
+    """dbar_minus and cross at every point of the grid xs x bs, one row
+    per x."""
+    X, B = np.asarray(xs)[:, None], np.asarray(bs)[None, :]
+    dbar_minus = (d - X * B) / (1.0 - X)
+    return dbar_minus, (1.0 - X) * dbar_minus - (B - X * n) * X
+
+
+def hex_point(point):
+    return None if point is None else tuple(v.hex() for v in point)
 
 
 class TestClosedFormSolution:
@@ -288,42 +293,22 @@ class TestAgainstDenseScan:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_every_case_bit_for_bit(self):
         cases = raised = 0
-        for lockstep, cells in oracle_cases():
-            dense = [grid_outcome(dense_solve_grid, p, dp) for p, dp in cells]
-            if lockstep:
-                assert [exact_fields(s) for s in optim._solve_many(cells)] == dense, cells
-            else:
-                assert [grid_outcome(solve_grid, p, dp) for p, dp in cells] == dense, cells
-            cases += len(cells)
-            raised += sum(isinstance(outcome[0], type) for outcome in dense)
-        assert (cases, raised) == (958, 20)
-
-    def test_lockstep_batches(self):
-        # Problems of different orders and densities in one batch, and an
-        # infeasible one, which raises as the dense scan does.
-        cells = [(GraphParams(n, m), window_grid(n, m)[0]) for n, m in [(4, 3), (7, 5), (7, 15)]]
-        cells += [(GraphParams(100, 1250), 60.5), (GraphParams(100, 1250), 99), *BELOW_ROOT,
-                  (TINY, Fraction(1, 10**11)), HUGE]
-        sols = optim._solve_many(cells)
-        assert [exact_fields(s) for s in sols] == \
-            [grid_outcome(dense_solve_grid, p, dp) for p, dp in cells]
-        with pytest.raises(InfeasibleSearchError) as info:
-            optim._solve_many(cells + [(TINY, 5)])
-        assert (InfeasibleSearchError, str(info.value)) == grid_outcome(dense_solve_grid, TINY, 5)
-        with pytest.raises(DomainError):
-            optim._solve_many(cells + [(GraphParams(20, 20), 1)])
+        for p, dp in oracle_cases():
+            dense = grid_outcome(dense_solve_grid, p, dp)
+            assert grid_outcome(solve_grid, p, dp) == dense, (p, dp)
+            cases += 1
+            raised += isinstance(dense[0], type)
+        assert (cases, raised) == (960, 20)
 
     def test_equal_objectives_keep_the_smaller_point(self, monkeypatch):
         # Like the dense scan's `cand < best` on (objective, x, dbar_plus)
         # tuples, a tie on the objective goes to the smaller x, then the
         # smaller dbar_plus; a round with no feasible point changes nothing.
         script = iter([(1.0, 0.5, 3.0), (1.0, 0.4, 3.5), (1.0, 0.4, 3.25),
-                       (1.0, 0.45, 3.0), (2.0, 0.1, 3.0), (math.inf, 0.0, 0.0)])
+                       (1.0, 0.45, 3.0), (2.0, 0.1, 3.0), None])
         assert REFINE_ROUNDS + 1 == 6
-        monkeypatch.setattr(optim, "_round_best",
-                            lambda *args: tuple(np.array([c]) for c in next(script)))
-        one = np.array([1.0])
-        assert optim._shrink_and_rescan(one, 10 * one, 2 * one, 10 * one) == [(1.0, 0.4, 3.25)]
+        monkeypatch.setattr(optim, "_joint_round", lambda *args: next(script))
+        assert optim._shrink_and_rescan(1.0, 10.0, 2.0, 10.0) == (1.0, 0.4, 3.25)
 
     @pytest.mark.parametrize("grid, cells, count", [
         ("quick", reference_cells(sizes=(20,), ratios=(Fraction(1, 4), Fraction(1, 2))), 6),
@@ -347,53 +332,68 @@ class TestRowBoundary:
     def test_rows_are_non_increasing(self):
         # The lemma behind the boundary search: in floats, dbar_minus and
         # cross never increase along a row of sorted dbar_plus values.
-        rounds = recorded_rounds([(p, dp) for p in reference_cells(sizes=(20, 37, 100))
-                                  for dp in d_plus_test_grid(p, 5)] + BELOW_ROOT)
+        rounds = [r[:4] for r in recorded_rounds(
+            [(p, dp) for p in reference_cells(sizes=(20, 37, 100))
+             for dp in d_plus_test_grid(p, 5)] + BELOW_ROOT)]
         rng = random.Random(17)
         for _ in range(40):
             # tiny windows: a few ulps to 1e-6 wide, at random places
             x_lo = rng.uniform(X_EDGE, 0.999)
             b_lo = rng.uniform(0.5, 150.0)
             x_w, b_w = (10.0 ** rng.uniform(-15, -6) for _ in range(2))
-            xs = np.linspace(x_lo, x_lo + x_w, GRID_STEPS)[None, :]
-            bs = np.linspace(b_lo, b_lo + b_w, GRID_STEPS + 1)[None, :]
-            d = np.array([[rng.uniform(0.01, 0.99) * b_lo]])
-            n = np.array([[float(rng.randint(2, 200))]])
-            rounds.append((d, n, xs, bs, None))
-        assert sum(len(xs) for _, _, xs, _, _ in rounds) > 900
-        for d, n, xs, bs, _ in rounds:
-            bs = bs[:, np.isfinite(bs).all(axis=0)]
-            assert (np.diff(bs, axis=-1) >= 0).all()
+            xs = np.linspace(x_lo, x_lo + x_w, GRID_STEPS)
+            bs = np.linspace(b_lo, b_lo + b_w, GRID_STEPS + 1)
+            rounds.append((rng.uniform(0.01, 0.99) * b_lo, float(rng.randint(2, 200)), xs, bs))
+        assert sum(len(xs) for _, _, xs, _ in rounds) > 900
+        for d, n, xs, bs in rounds:
+            bs = np.array([b for b in bs if b < math.inf])
+            assert (np.diff(bs) >= 0).all()
             for values in dense_rows(d, n, xs, bs):
                 assert (np.diff(values, axis=-1) <= 0).all()
 
-    def test_any_start_finds_the_same_boundary(self):
-        rounds = recorded_rounds([(p, dp) for p in reference_cells(sizes=(20, 37))
-                                  for dp in d_plus_test_grid(p, 4)] + BELOW_ROOT)
-        for d, n, xs, bs, k in rounds:
-            ncol = bs.shape[1] - 1  # the last column is the +inf one
-            found, last = optim._row_boundary(d, n, xs, bs, k)
-            dbar_minus, cross = dense_rows(d, n, xs, bs[:, :ncol])
-            feasible = (dbar_minus >= 0.0) & (cross >= 0.0)
-            # feasibility is a prefix of each row, of length k
-            assert (feasible == (np.arange(ncol) < found[:, :, None])).all()
-            at = np.take_along_axis(dbar_minus, np.maximum(found - 1, 0)[:, :, None], axis=2)
-            at = at[:, :, 0]
-            assert (last[found > 0] == at[found > 0]).all()
-            for start in (np.zeros_like(k), np.full_like(k, ncol)):
-                assert (optim._row_boundary(d, n, xs, bs, start)[0] == found).all()
+    def test_any_start_finds_the_same_boundary(self, monkeypatch):
+        # A round starts its first row from the analytic boundary and each
+        # later row from the last boundary found; any start must do.
+        rounds = [r[:4] for r in real_rounds()]
+        expected = [optim._joint_round(d, n, xs, bs, math.inf) for d, n, xs, bs in rounds]
+        rows = [(d, n, [x], bs) for d, n, xs, bs in rounds for x in xs[::8]]
+        dense = [dense_argmin(*row)[0] for row in rows]
+        rng = random.Random(4)
+        for start in (lambda ncol: 0, lambda ncol: ncol, lambda ncol: rng.randrange(ncol + 1)):
+            # ncol = hi, the index of the +inf column
+            monkeypatch.setattr(optim, "bisect_right", lambda bs, t, lo, hi: start(hi))
+            assert [optim._joint_round(d, n, xs, bs, math.inf)
+                    for d, n, xs, bs in rounds] == expected
+            assert [hex_point(optim._joint_round(*row, math.inf)) for row in rows] == dense
 
-    def test_round_best_is_the_dense_argmin(self):
-        rounds = recorded_rounds([(p, dp) for p in reference_cells(sizes=(20, 37))
-                                  for dp in d_plus_test_grid(p, 4)] + BELOW_ROOT)
+    def test_joint_round_is_the_dense_argmin(self):
         tied = 0
-        for d, n, xs, bs, k in rounds + list(tied_rounds(5, 60)):
-            k = np.zeros(xs.shape, int) if k is None else k
-            v, x, b = optim._round_best(d, n, xs, bs, k)
-            found = [(vk.hex(), xk.hex(), bk.hex()) if vk < math.inf else None
-                     for vk, xk, bk in zip(v.tolist(), x.tolist(), b.tolist())]
+        for d, n, xs, bs in [r[:4] for r in real_rounds()] + list(tied_rounds(5, 180)):
             best, ties = dense_argmin(d, n, xs, bs)
-            assert found == best
+            assert hex_point(optim._joint_round(d, n, xs, bs, math.inf)) == best
+            tied += ties
+        assert tied > 60
+
+    def test_pruned_rows_cannot_win(self):
+        # With any bound at or above the round's least objective the round
+        # is still the dense argmin; below it, its result is above the bound.
+        for d, n, xs, bs in [r[:4] for r in real_rounds()] + list(tied_rounds(6, 180)):
+            best = optim._joint_round(d, n, xs, bs, math.inf)
+            if best is None:
+                assert optim._joint_round(d, n, xs, bs, 0.0) is None
+                continue
+            v = best[0]
+            for bound in (v, math.nextafter(v, math.inf), v + 1e-9 * (1 + v), 2 * v + 1):
+                assert optim._joint_round(d, n, xs, bs, bound) == best
+            for bound in (math.nextafter(v, -math.inf), v - 1.0):
+                low = optim._joint_round(d, n, xs, bs, bound)
+                assert low is None or low[0] > bound
+
+    def test_edge_round_is_the_dense_argmin(self):
+        tied = 0
+        for d, n, xs, bs in [r[:4] for r in real_rounds()] + list(tied_rounds(7, 180)):
+            best, ties = dense_argmin(d, n, xs, bs[:1])
+            assert hex_point(optim._edge_round(d, n, xs, bs[0])) == best
             tied += ties
         assert tied > 60
 
@@ -401,10 +401,10 @@ class TestRowBoundary:
         rng = random.Random(3)
         starts = [rng.uniform(0, 200) for _ in range(30)] + [0.3, 1e-9, 55.0]
         stops = [a + 10.0 ** rng.uniform(-14, 2) for a in starts[:30]] + [0.3, 1 - 1e-9, 55.0]
-        grid, step = optim._linspace(np.array(starts), np.array(stops))
-        for row, a, b in zip(grid, starts, stops):
-            assert np.linspace(a, b, GRID_STEPS).tobytes() == row.tobytes()
-        assert step[-1] == 0.0 and (grid[-1] == 55.0).all()
+        for a, b in zip(starts, stops):
+            assert np.array(optim._linspace(a, b)).tobytes() == \
+                np.linspace(a, b, GRID_STEPS).tobytes()
+        assert optim._linspace(55.0, 55.0) == [55.0] * GRID_STEPS
 
 
 class TestDensityParams:
