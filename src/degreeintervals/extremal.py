@@ -16,6 +16,7 @@ against the theoretical bound; it can approach but never beat it.
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import chain, combinations
 
 from .bounds import extremal_profile, require_above_root
 from .errors import DomainError, InfeasibleConstructionError, NotRealizableError
@@ -64,12 +65,8 @@ def build_split_extremal(n: int, m: int) -> ConstructionResult:
         raise NotRealizableError(
             f"profile sizes {prof.size_plus} and {prof.size_minus} must be even integers")
     a, b = int(prof.size_plus), int(prof.size_minus)
-    g = Graph(n)
-    for i in range(a):
-        for j in range(i + 1, a):
-            g.add_edge(i, j)
-    for i, j in _biregular_pairs(a, b):
-        g.add_edge(i, a + j)
+    cross = ((i, a + j) for i, j in _biregular_pairs(a, b))
+    g = Graph(n, chain(combinations(range(a), 2), cross))
     achieved = GraphParams(n, g.m)
     degrees = g.degrees()
     gap = {
@@ -145,10 +142,7 @@ def build_near_extremal(n: int, m: int, d_plus) -> ConstructionResult:
             f"no clique vertex can reach degree {ceil_dp} within m={m} edges")
     b = n - a
 
-    g = Graph(n)
-    for i in range(a):
-        for j in range(i + 1, a):
-            g.add_edge(i, j)
+    g = Graph(n, combinations(range(a), 2))
     _deal_cross(g, a, b, min(max(m - a * (a - 1) // 2, 0), a * b))
 
     achieved = GraphParams(n, g.m)

@@ -1,7 +1,14 @@
 """Simple undirected graphs on vertices 0..n-1, with edge-list I/O.
 
 Wire format: a header line "n m" followed by one "u v" line per edge.
+The writer emits u < v, sorted by u and then by v, one row of lines per
+vertex; the reader takes the edges in any order and checks each one as
+it inserts it.  Every bulk insertion, the reader's included, goes
+through one checked loop, `Graph._add_all`.
 """
+
+from bisect import bisect_right
+from itertools import combinations
 
 from .errors import DomainError
 from .params import GraphParams
@@ -17,18 +24,25 @@ class Graph:
             raise DomainError(f"order must be a non-negative integer, got {n!r}")
         self.n = n
         self._adj = [set() for _ in range(n)]
+        self._add_all(edges)
+
+    def _add_all(self, edges):
+        """Insert every (u, v) of `edges` in turn, rejecting a vertex out of
+        range, a loop or an edge already present (in either orientation)."""
+        n, adj = self.n, self._adj
         for u, v in edges:
-            self.add_edge(u, v)
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
+            if u == v:
+                raise ValueError(f"loop at vertex {u} not allowed")
+            nbrs = adj[u]
+            if v in nbrs:
+                raise ValueError(f"duplicate edge ({u}, {v})")
+            nbrs.add(v)
+            adj[v].add(u)
 
     def add_edge(self, u: int, v: int):
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"edge ({u}, {v}) outside vertex range 0..{self.n - 1}")
-        if u == v:
-            raise ValueError(f"loop at vertex {u} not allowed")
-        if v in self._adj[u]:
-            raise ValueError(f"duplicate edge ({u}, {v})")
-        self._adj[u].add(v)
-        self._adj[v].add(u)
+        self._add_all(((u, v),))
 
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and v in self._adj[u]
@@ -58,28 +72,43 @@ class Graph:
         return GraphParams(self.n, self.m)
 
     def complement(self) -> "Graph":
-        g = Graph(self.n)
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if v not in self._adj[u]:
-                    g.add_edge(u, v)
-        return g
+        n, adj = self.n, self._adj
+        return Graph(n, ((u, v) for u in range(n) for v in range(u + 1, n) if v not in adj[u]))
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
-        return cls(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+        return cls(n, combinations(range(n), 2))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
 
 
 def format_edge_list(g: Graph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    """The "n m" header, then for each u ascending one row of "u v" lines,
+    v > u ascending: the bytes of sorting every edge, written a vertex at
+    a time, with each vertex turned into a string once."""
+    names = [str(v) for v in range(g.n)]
+    rows = [f"{g.n} {g.m}\n"]
+    for u, nbrs in enumerate(g._adj):
+        ordered = sorted(nbrs)
+        above = ordered[bisect_right(ordered, u):]
+        if above:
+            head = names[u] + " "
+            rows.append(head + ("\n" + head).join([names[v] for v in above]) + "\n")
+    return "".join(rows)
+
+
+def _edge_pairs(lines):
+    for ln in lines:
+        parts = ln.split()
+        if len(parts) != 2:
+            raise ValueError(f"edge line must be 'u v', got {ln!r}")
+        yield int(parts[0]), int(parts[1])
 
 
 def parse_edge_list(text: str) -> Graph:
+    """Graph from the wire format.  Lines are read and checked in order, so
+    the first bad line, malformed or an invalid edge, is the one reported."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise ValueError("empty edge list input")
@@ -89,10 +118,4 @@ def parse_edge_list(text: str) -> Graph:
     n, m = int(head[0]), int(head[1])
     if len(lines) - 1 != m:
         raise ValueError(f"header promises {m} edges, found {len(lines) - 1}")
-    g = Graph(n)
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"edge line must be 'u v', got {ln!r}")
-        g.add_edge(int(parts[0]), int(parts[1]))
-    return g
+    return Graph(n, _edge_pairs(lines[1:]))

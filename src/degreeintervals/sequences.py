@@ -31,6 +31,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Iterator, NamedTuple, Optional
 
 from .bounds import (extremal_profile, half_order_interval, half_order_thresholds,
@@ -103,12 +104,14 @@ def realize(degrees) -> Graph:
     same.  A step does O(max degree) Python work plus list copies of the
     buckets it touches, where a sort of all n vertices per step cost
     O(n^2 log n) in all; the Erdos-Gallai check is O(n h), h the Durfee
-    number (the largest k with d_k >= k).
+    number (the largest k with d_k >= k).  A step keeps its edges as lazy
+    rows, zip(repeat(v), head), and the graph is built from all rows in
+    one checked insert at the end.
     """
     s = as_degree_sequence(degrees)
     if not _eg_ok(s):
         raise NotGraphicalError(f"sequence {s} is not graphical")
-    g = Graph(len(s))
+    rows = []
     buckets = [[] for _ in range(max(s, default=0) + 1)]
     for v, d in enumerate(s):
         buckets[d].append(v)
@@ -126,11 +129,10 @@ def realize(degrees) -> Graph:
             need -= len(head)
             d -= 1
         for d, head in taken:
-            for u in head:
-                g.add_edge(v, u)
+            rows.append(zip(repeat(v), head))
             if d > 1:
                 buckets[d - 1] = sorted(head + buckets[d - 1])
-    return g
+    return Graph(len(s), chain.from_iterable(rows))
 
 
 def _extend(d: list, alphabet: list, j: int, out: Optional[list], i: int, rem: int,
@@ -440,7 +442,7 @@ def peel_trace(g: Graph) -> list:
     Every step succeeds (the closed interval always contains a degree),
     so the trace has exactly g.n steps.  The final single vertex has
     degree 0 and its interval degenerates to [0, 0].  Degrees are picked
-    on the integer thresholds of the interval.
+    on the integer thresholds of the interval, ceil(lo) and floor(hi).
     """
     adj = [g.neighbors(v) for v in range(g.n)]
     deg = [len(a) for a in adj]
@@ -451,7 +453,7 @@ def peel_trace(g: Graph) -> list:
         if len(alive) >= 2:
             p = GraphParams(len(alive), edges)
             iv = half_order_interval(p)
-            lo, _, hi, _ = half_order_thresholds(p)
+            lo, hi = math.ceil(iv.lo), math.floor(iv.hi)
         else:
             iv, lo, hi = Interval(Fraction(0), Fraction(0)), 0, 0
         pick = next((v for v in alive if lo <= deg[v] <= hi), None)
