@@ -80,13 +80,21 @@ def require_above_root(p: GraphParams, d_plus) -> Fraction:
     return disc
 
 
+def _half_order_bounds(n: int, m) -> tuple:
+    """The half-order interval of order n >= 2 and m edges, with its
+    integer thresholds ceil(lo) and floor(hi): lo = m/(n-1) and
+    hi = (2m + (n-2)(n-1)) / (2(n-1)), as exact Fractions."""
+    lo = Fraction(m, n - 1)
+    hi = Fraction(2 * m + (n - 2) * (n - 1), 2 * (n - 1))
+    return Interval(lo, hi), math.ceil(lo), math.floor(hi)
+
+
 def half_order_interval(p: GraphParams) -> Interval:
     """Closed interval of length (n-2)/2 around d guaranteed to contain a degree.
 
     With c = (n-2)/(2(n-1)), d - c d = m/(n-1) and d + c dbar = m/(n-1) + (n-2)/2.
     """
-    lo = p.m / (p.n - 1)
-    return Interval(lo, lo + Fraction(p.n - 2, 2))
+    return _half_order_bounds(p.n, p.m)[0]
 
 
 def half_order_thresholds(p: GraphParams) -> tuple:

@@ -16,7 +16,7 @@ against the theoretical bound; it can approach but never beat it.
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain
 
 from .bounds import extremal_profile, require_above_root
 from .errors import DomainError, InfeasibleConstructionError, NotRealizableError
@@ -40,15 +40,24 @@ class ConstructionResult:
     gap_report: dict
 
 
-def _biregular_pairs(a: int, b: int) -> list:
-    """Cross edges giving every left vertex b/2 rights, every right a/2 lefts.
+def _biregular_rows(a: int, b: int):
+    """Cross rows (i, arc) from clique 0..a-1 to independent a..a+b-1 that
+    give every left vertex b/2 rights and every right a/2 lefts.
 
     For even a and b, left i covers the arc of b/2 rights starting at
-    s(i) = floor(i*b/a), mod b.  Since s(i + a/2) = s(i) + b/2, lefts i
-    and i + a/2 cover complementary arcs, so every right is covered by
-    exactly one left of each such pair: a/2 lefts in all.
+    s(i) = floor(i*b/a), mod b: one range, or two when the arc wraps past
+    the last right.  Since s(i + a/2) = s(i) + b/2, lefts i and i + a/2
+    cover complementary arcs, so every right is covered by exactly one
+    left of each such pair: a/2 lefts in all.
     """
-    return [(i, (i * b // a + t) % b) for i in range(a) for t in range(b // 2)]
+    half = b // 2
+    for i in range(a):
+        s = i * b // a
+        if s + half <= b:
+            yield i, range(a + s, a + s + half)
+        else:
+            yield i, range(a + s, a + b)
+            yield i, range(a, a + s + half - b)
 
 
 def build_split_extremal(n: int, m: int) -> ConstructionResult:
@@ -56,6 +65,9 @@ def build_split_extremal(n: int, m: int) -> ConstructionResult:
 
     Requires both profile sizes to be even integers; raises
     NotRealizableError otherwise and DomainError at degenerate density.
+    The clique goes in as rows (u, range(u+1, a)) and the cross layer as
+    one or two ranges per clique vertex (`_biregular_rows`), through one
+    checked row insert.
     """
     p = GraphParams(n, m)
     if p.m.denominator != 1:
@@ -65,8 +77,8 @@ def build_split_extremal(n: int, m: int) -> ConstructionResult:
         raise NotRealizableError(
             f"profile sizes {prof.size_plus} and {prof.size_minus} must be even integers")
     a, b = int(prof.size_plus), int(prof.size_minus)
-    cross = ((i, a + j) for i, j in _biregular_pairs(a, b))
-    g = Graph(n, chain(combinations(range(a), 2), cross))
+    g = Graph(n)
+    g._add_rows(chain(((u, range(u + 1, a)) for u in range(a)), _biregular_rows(a, b)))
     achieved = GraphParams(n, g.m)
     degrees = g.degrees()
     gap = {
@@ -92,19 +104,29 @@ def _deal_cross(g: Graph, a: int, b: int, total: int):
     of u, in place of the O(b) scan of every non-neighbour: on
     `build_near_extremal(400, 39900, 300)` s totals 200 over 20,397
     edges, while a complete 200 x 200 cross layer skips about 27 per edge.
+
+    Adjacency is read from one local set per dealer, seeded with its
+    neighbours in g on the independent side and grown as it deals, so the
+    rule stays exact for any g.  The dealt edges go in at the end as one
+    row per dealer, in one checked row insert.
     """
+    taken = [{v - a for v in g.neighbors(u) if v >= a} for u in range(a)]
+    rows = [[] for _ in range(a)]
     loads = [(0, j) for j in range(b)]  # a heap of (load, j), one entry per j
     for k in range(total):
         u = k % a
+        mine = taken[u]
         skipped = []
         load, j = heapq.heappop(loads)
-        while g.has_edge(u, a + j):
+        while j in mine:
             skipped.append((load, j))
             load, j = heapq.heappop(loads)
         for entry in skipped:
             heapq.heappush(loads, entry)
         heapq.heappush(loads, (load + 1, j))
-        g.add_edge(u, a + j)
+        mine.add(j)
+        rows[u].append(a + j)
+    g._add_rows(enumerate(rows))
 
 
 def build_near_extremal(n: int, m: int, d_plus) -> ConstructionResult:
@@ -142,7 +164,8 @@ def build_near_extremal(n: int, m: int, d_plus) -> ConstructionResult:
             f"no clique vertex can reach degree {ceil_dp} within m={m} edges")
     b = n - a
 
-    g = Graph(n, combinations(range(a), 2))
+    g = Graph(n)
+    g._add_rows((u, range(u + 1, a)) for u in range(a))
     _deal_cross(g, a, b, min(max(m - a * (a - 1) // 2, 0), a * b))
 
     achieved = GraphParams(n, g.m)

@@ -3,12 +3,20 @@
 Wire format: a header line "n m" followed by one "u v" line per edge.
 The writer emits u < v, sorted by u and then by v, one row of lines per
 vertex; the reader takes the edges in any order and checks each one as
-it inserts it.  Every bulk insertion, the reader's included, goes
-through one checked loop, `Graph._add_all`.
+it inserts it.
+
+Edges go in through one of two shapes.  `Graph._add_all` takes (u, v)
+pairs and checks each one as it inserts it; it is the loop behind
+`Graph(n, edges)`, `add_edge` and the reader.  `Graph._add_rows` takes
+rows (u, vs), a vertex and all its new neighbours, and checks a whole
+row at once with set operations; the constructions and `realize` use
+it.  A row that fails a check is handed to `_add_all` edge by edge, so
+every error message, and which bad edge is reported first, comes from
+that one loop.
 """
 
 from bisect import bisect_right
-from itertools import combinations
+from itertools import repeat
 
 from .errors import DomainError
 from .params import GraphParams
@@ -40,6 +48,27 @@ class Graph:
                 raise ValueError(f"duplicate edge ({u}, {v})")
             nbrs.add(v)
             adj[v].add(u)
+
+    def _add_rows(self, rows):
+        """Insert every row (u, vs) of `rows` in turn: the edges (u, v) for v
+        in `vs`, a sized sequence (a range or a list).  A row passes whole
+        when u is in range, `vs` repeats no vertex, holds no u, lies in
+        0..n-1 and meets none of u's neighbours; then u's side goes in as
+        one set union.  A row that fails goes through `_add_all`, which
+        raises the first bad edge's error, so the text and the order of
+        errors are those of the pair loop."""
+        n, adj = self.n, self._adj
+        for u, vs in rows:
+            if not vs:
+                continue
+            row = set(vs)
+            if (0 <= u < n and len(row) == len(vs) and u not in row
+                    and 0 <= min(row) and max(row) < n and adj[u].isdisjoint(row)):
+                adj[u] |= row
+                for v in vs:
+                    adj[v].add(u)
+            else:
+                self._add_all(zip(repeat(u), vs))
 
     def add_edge(self, u: int, v: int):
         self._add_all(((u, v),))
@@ -73,11 +102,15 @@ class Graph:
 
     def complement(self) -> "Graph":
         n, adj = self.n, self._adj
-        return Graph(n, ((u, v) for u in range(n) for v in range(u + 1, n) if v not in adj[u]))
+        g = Graph(n)
+        g._add_rows((u, [v for v in range(u + 1, n) if v not in adj[u]]) for u in range(n))
+        return g
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
-        return cls(n, combinations(range(n), 2))
+        g = cls(n)
+        g._add_rows((u, range(u + 1, n)) for u in range(n))
+        return g
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"

@@ -31,10 +31,9 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, repeat
 from typing import Iterator, NamedTuple, Optional
 
-from .bounds import (extremal_profile, half_order_interval, half_order_thresholds,
+from .bounds import (_half_order_bounds, extremal_profile, half_order_thresholds,
                      require_above_root, require_window_domain, window_thresholds)
 from .errors import DomainError, EnumerationLimitError, NotGraphicalError
 from .graphs import Graph
@@ -104,9 +103,9 @@ def realize(degrees) -> Graph:
     same.  A step does O(max degree) Python work plus list copies of the
     buckets it touches, where a sort of all n vertices per step cost
     O(n^2 log n) in all; the Erdos-Gallai check is O(n h), h the Durfee
-    number (the largest k with d_k >= k).  A step keeps its edges as lazy
-    rows, zip(repeat(v), head), and the graph is built from all rows in
-    one checked insert at the end.
+    number (the largest k with d_k >= k).  A step keeps its edges as rows
+    (v, head), one per bucket it takes from, and the graph is built from
+    all rows in one checked row insert (`Graph._add_rows`) at the end.
     """
     s = as_degree_sequence(degrees)
     if not _eg_ok(s):
@@ -129,10 +128,12 @@ def realize(degrees) -> Graph:
             need -= len(head)
             d -= 1
         for d, head in taken:
-            rows.append(zip(repeat(v), head))
+            rows.append((v, head))
             if d > 1:
                 buckets[d - 1] = sorted(head + buckets[d - 1])
-    return Graph(len(s), chain.from_iterable(rows))
+    g = Graph(len(s))
+    g._add_rows(rows)
+    return g
 
 
 def _extend(d: list, alphabet: list, j: int, out: Optional[list], i: int, rem: int,
@@ -443,17 +444,21 @@ def peel_trace(g: Graph) -> list:
     so the trace has exactly g.n steps.  The final single vertex has
     degree 0 and its interval degenerates to [0, 0].  Degrees are picked
     on the integer thresholds of the interval, ceil(lo) and floor(hi).
+
+    The graph is read, not copied, and left unchanged: the trace keeps a
+    degree list, and a removal decrements every neighbour's entry.  A
+    removed vertex's entry is never read again, so only the live degrees
+    matter.  Each step's interval and thresholds come from the live order
+    and edge count alone (`bounds._half_order_bounds`).
     """
-    adj = [g.neighbors(v) for v in range(g.n)]
-    deg = [len(a) for a in adj]
+    adj = g._adj
+    deg = g.degrees()
     edges = sum(deg) // 2
     alive = list(range(g.n))
     steps = []
     while alive:
         if len(alive) >= 2:
-            p = GraphParams(len(alive), edges)
-            iv = half_order_interval(p)
-            lo, hi = math.ceil(iv.lo), math.floor(iv.hi)
+            iv, lo, hi = _half_order_bounds(len(alive), edges)
         else:
             iv, lo, hi = Interval(Fraction(0), Fraction(0)), 0, 0
         pick = next((v for v in alive if lo <= deg[v] <= hi), None)
@@ -462,10 +467,7 @@ def peel_trace(g: Graph) -> list:
         steps.append(PeelStep(pick, deg[pick], iv))
         edges -= deg[pick]
         for u in adj[pick]:
-            adj[u].discard(pick)
             deg[u] -= 1
-        adj[pick] = set()
-        deg[pick] = 0
         alive.remove(pick)
     return steps
 

@@ -50,7 +50,7 @@ from degreeintervals import (
 )
 from degreeintervals.bounds import require_window_domain, window_thresholds
 from degreeintervals.cli import main as cli_main, read_sweep_csv
-from degreeintervals.extremal import _biregular_pairs
+from degreeintervals.extremal import _biregular_rows
 from degreeintervals.sequences import _graphical_counts
 from test_bounds import expanded_complement_edge_count_slack, expanded_edge_count_slack
 

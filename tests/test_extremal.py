@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from degreeintervals import (
     opt_value,
     verify_half_order,
 )
-from degreeintervals.extremal import _biregular_pairs, _deal_cross
+from degreeintervals.extremal import _biregular_rows, _deal_cross
 
 
 def min_scan_deal(g, a, b, total):
@@ -106,7 +107,10 @@ class TestBipartiteHelpers:
     def test_modular_layout_is_biregular(self):
         for a in range(2, 41, 2):
             for b in range(2, 41, 2):
-                pairs = _biregular_pairs(a, b)
+                rows = list(_biregular_rows(a, b))
+                assert all(isinstance(vs, range) for _, vs in rows), (a, b)
+                assert max(Counter(i for i, _ in rows).values()) <= 2, (a, b)
+                pairs = [(i, v - a) for i, vs in rows for v in vs]
                 assert len(set(pairs)) == len(pairs) == a * b // 2, (a, b)
                 left = Counter(i for i, _ in pairs)
                 right = Counter(j for _, j in pairs)
@@ -158,6 +162,19 @@ class TestNearExtremal:
                     _deal_cross(heap, a, b, total)
                     min_scan_deal(scan, a, b, total)
                     assert heap.edges() == scan.edges(), (a, b, total)
+
+    def test_cross_deal_reads_cross_edges_already_in_g(self):
+        # the deal starts from whatever cross edges g already holds
+        rng = random.Random(2003)
+        for _ in range(300):
+            a, b = rng.randint(1, 8), rng.randint(1, 8)
+            seed = [(u, a + j) for u in range(a) for j in range(b) if rng.random() < 0.4]
+            free = min(b - sum(1 for v, _ in seed if v == u) for u in range(a))
+            total = rng.randint(0, a * free)
+            heap, scan = Graph(a + b, seed), Graph(a + b, seed)
+            _deal_cross(heap, a, b, total)
+            min_scan_deal(scan, a, b, total)
+            assert heap.edges() == scan.edges(), (a, b, seed, total)
 
     def test_shortfall_shows_in_gap_report(self):
         # The cross layer holds at most a*b edges, so the graph stops at

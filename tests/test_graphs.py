@@ -1,4 +1,4 @@
-"""The checked insert loop of `Graph` and the edge-list writer."""
+"""The checked insert paths of `Graph`, pairs and rows, and the edge-list writer."""
 
 import itertools
 import random
@@ -136,3 +136,73 @@ class TestInsertLoop:
             assert k.m == n * (n - 1) // 2
             assert k.complement().m == 0
             assert Graph(n).complement().edges() == k.edges()
+
+
+def row_error_text(n, rows):
+    """The ValueError text from inserting `rows` in one `_add_rows` call."""
+    g = Graph(n)
+    with pytest.raises(ValueError) as raised:
+        g._add_rows(rows)
+    return str(raised.value)
+
+
+def random_rows(edges, rng):
+    """The edges as rows (u, vs) in random orientation, each vertex's
+    neighbours cut into random chunks, the rows shuffled, and a chunk of
+    consecutive vertices given as a range."""
+    by_vertex = {}
+    for u, v in edges:
+        if rng.random() < 0.5:
+            u, v = v, u
+        by_vertex.setdefault(u, []).append(v)
+    rows = []
+    for u, vs in by_vertex.items():
+        rng.shuffle(vs)
+        while vs:
+            cut = rng.randint(1, len(vs))
+            chunk, vs = vs[:cut], vs[cut:]
+            if len(chunk) > 1 and rng.random() < 0.5:
+                chunk.sort()
+                if chunk == list(range(chunk[0], chunk[-1] + 1)):
+                    chunk = range(chunk[0], chunk[-1] + 1)
+            rows.append((u, chunk))
+    rng.shuffle(rows)
+    return rows
+
+
+class TestRowInsert:
+    @pytest.mark.parametrize("rows, text", [
+        ([(0, [1]), (2, [4])], "edge (2, 4) outside vertex range 0..3"),
+        ([(4, range(0, 2))], "edge (4, 0) outside vertex range 0..3"),
+        ([(0, [1]), (-1, [2])], "edge (-1, 2) outside vertex range 0..3"),
+        ([(1, [0, -3])], "edge (1, -3) outside vertex range 0..3"),
+        ([(0, [1]), (2, [3, 2, 1])], "loop at vertex 2 not allowed"),
+        ([(2, range(1, 4))], "loop at vertex 2 not allowed"),
+        ([(0, [2, 1, 2, 3])], "duplicate edge (0, 2)"),
+        ([(0, range(1, 3)), (1, [3]), (0, [3, 1])], "duplicate edge (0, 1)"),
+        ([(0, [1, 2]), (1, [0])], "duplicate edge (1, 0)"),
+        ([(2, [3]), (0, [1]), (3, range(0, 3))], "duplicate edge (3, 2)"),
+    ])
+    def test_rows_give_the_pair_loop_error(self, rows, text):
+        pairs = [(u, v) for u, vs in rows for v in vs]
+        assert row_error_text(4, rows) == text
+        assert error_texts(4, pairs) == [text] * 3
+
+    def test_empty_order_rejects_every_row(self):
+        text = "edge (0, 0) outside vertex range 0..-1"
+        assert row_error_text(0, [(0, [0])]) == text
+        assert row_error_text(0, [(0, range(1))]) == text
+        assert row_error_text(0, [(-1, [0])]) == "edge (-1, 0) outside vertex range 0..-1"
+
+    def test_rows_equal_pairs_in_any_order(self):
+        rng = random.Random(2001)
+        for n in range(30):
+            for p in (0.0, 0.3, 1.0):
+                edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+                by_rows = Graph(n)
+                by_rows._add_rows(random_rows(edges, rng))
+                shuffled = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+                rng.shuffle(shuffled)
+                by_pairs = Graph(n, shuffled)
+                assert by_rows.edges() == by_pairs.edges() == edges, (n, p)
+                assert by_rows.degrees() == by_pairs.degrees(), (n, p)

@@ -32,6 +32,7 @@ from degreeintervals import (
 from degreeintervals import sequences
 from degreeintervals.bounds import half_order_thresholds, window_thresholds
 from degreeintervals.sequences import _eg_ok
+from test_graphs import random_graph, small_constructions
 
 
 def resorting_realize(degrees):
@@ -570,6 +571,35 @@ class TestBandScanAgainstReference:
                     assert type(s) is tuple and all(type(d) is int for d in s), s
 
 
+def reference_peel_trace(g):
+    """`peel_trace` as it was before it ran on integers: a copy of the
+    adjacency, and per step a GraphParams and its half-order interval
+    m/(n-1) + [0, (n-2)/2].  Kept as the reference for every PeelStep."""
+    adj = [g.neighbors(v) for v in range(g.n)]
+    deg = [len(a) for a in adj]
+    edges = sum(deg) // 2
+    alive = list(range(g.n))
+    steps = []
+    while alive:
+        if len(alive) >= 2:
+            p = GraphParams(len(alive), edges)
+            lo = p.m / (p.n - 1)
+            iv = Interval(lo, lo + Fraction(p.n - 2, 2))
+            lo, hi = math.ceil(iv.lo), math.floor(iv.hi)
+        else:
+            iv, lo, hi = Interval(Fraction(0), Fraction(0)), 0, 0
+        pick = next(v for v in alive if lo <= deg[v] <= hi)
+        steps.append((pick, deg[pick], iv))
+        edges -= deg[pick]
+        for u in adj[pick]:
+            adj[u].discard(pick)
+            deg[u] -= 1
+        adj[pick] = set()
+        deg[pick] = 0
+        alive.remove(pick)
+    return steps
+
+
 class TestFindVertexAndPeel:
     def test_complete_graph_misses_interval(self):
         g = Graph.complete(4)
@@ -614,6 +644,25 @@ class TestFindVertexAndPeel:
             assert len(steps) == n
             for s in steps:
                 assert s.interval.contains(s.degree)
+
+
+    def test_peel_matches_the_reference(self):
+        rng = random.Random(2002)
+        graphs = [random_graph(n, p, rng, isolated)
+                  for n in range(61) for p in (0.0, 0.1, 0.5, 1.0) for isolated in (0, n // 4)]
+        graphs += [Graph.complete(n) for n in range(13)]
+        graphs += list(small_constructions())
+        for g in graphs:
+            edges = g.edges()
+            steps = peel_trace(g)
+            assert g.edges() == edges, g
+            want = reference_peel_trace(g)
+            assert len(steps) == len(want) == g.n, g
+            for step, (vertex, degree, iv) in zip(steps, want):
+                assert (step.vertex, step.degree) == (vertex, degree), g
+                got = step.interval
+                assert type(got.lo) is type(got.hi) is Fraction, g
+                assert (got.lo, got.hi, str(got)) == (iv.lo, iv.hi, str(iv)), g
 
 
 class TestGraphAndFormats:
