@@ -99,10 +99,17 @@ def half_order_interval(p: GraphParams) -> Interval:
 
 def half_order_thresholds(p: GraphParams) -> tuple:
     """Integer thresholds (lo, lo_strict, hi, hi_strict) of the half-order
-    interval, with the meaning of `window_thresholds`; exact, since the
-    endpoints are Fractions."""
-    iv = half_order_interval(p)
-    return math.ceil(iv.lo), math.floor(iv.lo) + 1, math.floor(iv.hi), math.ceil(iv.hi) - 1
+    interval, with the meaning of `window_thresholds`.
+
+    Computed in integers, exact for any rational m: with m = u/v, the
+    endpoints are lo = u / ((n-1) v) and hi = (2u + (n-2)(n-1) v) / (2(n-1) v),
+    and the thresholds are ceil(lo), floor(lo)+1, floor(hi) and ceil(hi)-1
+    by floor division.  No Fraction or Interval is built."""
+    n = p.n
+    u, v = p.m.as_integer_ratio()
+    lo_den = (n - 1) * v
+    hi_num, hi_den = 2 * u + (n - 2) * lo_den, 2 * lo_den
+    return -(-u // lo_den), u // lo_den + 1, hi_num // hi_den, -(-hi_num // hi_den) - 1
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,14 @@ class TestHalfOrderInterval:
         assert iv.lo == Fraction(18, 7) * 7 / 12
 
     def test_thresholds_match_exact_containment(self):
-        for p in all_params(12):
+        # Integer edge counts through n = 40, and fractional ones from
+        # `from_density`, which callers such as the optimizer grids build.
+        fractional = [GraphParams.from_density(n, Fraction(k, q) * (n - 1))
+                      for n in range(2, 41) for q in (3, 7, 10) for k in range(q + 1)]
+        fractional += [GraphParams.from_density(n, d) for n in (5, 12, 40)
+                       for d in (0.1, 1 / 3, 2.5, n / 3, n - 1.5)]
+        assert any(p.m.denominator > 1 for p in fractional)
+        for p in list(all_params(40)) + fractional:
             iv = half_order_interval(p)
             lo, lo_strict, hi, hi_strict = half_order_thresholds(p)
             for k in range(p.n):

@@ -292,6 +292,29 @@ class TestEnumeration:
             list(enumerate_graphical(4, 7))
 
 
+def reference_graphical_counts(n):
+    """`_graphical_counts` as it was before it took suffix sums: the same
+    Durfee-square recurrence and packed polynomials, with every state
+    (a, b, slack) moved to every (a2 <= a, b2 <= b) one at a time and
+    each move shifted on its own.  Kept as the reference for every count."""
+    width = 2 * n
+    total = 1
+    for h in range(1, n):
+        states = {(n - h, n - h, 0): 1}
+        for k in range(h):
+            later = h - k - 1
+            nxt = {}
+            for (a, b, slack), poly in states.items():
+                for a2 in range(a + 1):
+                    for b2 in range(max(0, a2 + 1 - slack), b + 1):
+                        key = (a2, b2, min(slack + b2 - a2 - 1, later * (a2 + 1)))
+                        nxt[key] = nxt.get(key, 0) + (poly << width * (a2 + b2))
+            states = nxt
+        total += sum(states.values()) << width * h * h
+    mask = (1 << width) - 1
+    return tuple((total >> width * 2 * m) & mask for m in range(n * (n - 1) // 2 + 1))
+
+
 class TestCounting:
     def test_counts_match_enumeration(self):
         for n in range(2, 12):
@@ -300,9 +323,21 @@ class TestCounting:
             for m, count in enumerate(counts):
                 assert count == len(list(enumerate_graphical(n, m))), (n, m)
 
+    def test_counts_match_the_reference_recurrence(self):
+        # Every edge count, past the enumeration limit too.
+        for n in range(2, 17):
+            assert sequences._graphical_counts(n) == reference_graphical_counts(n), n
+
     def test_counts_beyond_the_limit_match_oeis_a004251(self):
         # The count builds no sequence, so it runs past HARD_ORDER_LIMIT.
-        assert [sum(sequences._graphical_counts(n)) for n in (13, 14)] == [836315, 3166852]
+        assert [sum(sequences._graphical_counts(n)) for n in (13, 14, 15, 16)] == \
+            [836315, 3166852, 12042620, 45967479]
+
+    def test_total_through_order_20(self):
+        # A004251 summed over n = 2..20, less the two degenerate cells
+        # (m = 0 and m = C(n,2)) per order: the t1 total at nmax 20.
+        total = sum(sum(sequences._graphical_counts(n)) - 2 for n in range(2, 21))
+        assert total == 13_544_587_260
 
 
 class TestAlphabetSearch:
@@ -413,6 +448,30 @@ class TestVerifyHalfOrder:
                                    for s in verify_half_order(n, m).extremal_sequences),
                                   reverse=True)
                 assert verify_half_order(n, top - m).extremal_sequences == mirrored, (n, m)
+
+    def test_profile_only_on_cells_with_extremal_sequences(self, monkeypatch):
+        # The profile multiset is built only where there is an extremal
+        # sequence to compare; the degenerate cells m = 0 and m = C(n,2)
+        # have extremal sequences but no profile, and no mismatch.
+        profile = sequences._profile_sequence
+        calls = []
+
+        def counted(p):
+            calls.append((p.n, p.m))
+            return profile(p)
+        monkeypatch.setattr(sequences, "_profile_sequence", counted)
+        for n in range(2, 10):
+            calls.clear()
+            sequences.half_order_summary(n)
+            summary_calls = list(calls)
+            expected = [(n, m) for m in range(1, n * (n - 1) // 2)
+                        if verify_half_order(n, m).extremal_sequences]
+            assert summary_calls == expected, n
+            calls.clear()
+            for m in (0, n * (n - 1) // 2):
+                rep = verify_half_order(n, m)
+                assert rep.extremal_sequences and rep.profile_mismatches == [], (n, m)
+            assert calls == [], n
 
     def test_stars_slip_past_the_open_interval_filter(self):
         # stars have degrees {n-1, 1} only, so nothing falls strictly
