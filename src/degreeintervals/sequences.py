@@ -13,11 +13,12 @@ when it passes all of them (at n = 11, 72,674 candidates instead of the
 Both guarantees only ask whether some degree falls in an integer band,
 so the scans never list every sequence.  A violation has every degree
 outside the closed band and an extremal sequence every degree outside
-the strict one, so each is searched over that band's complement.  The
-window optimum is read off the extremal sequences, and only when there
-are none is it found by emptiness checks over such alphabets.  The
-window thresholds are step functions of d_plus, so grid cells in one
-window piece share a band, and that band is searched once.  A
+the strict one, so each is searched over that band's complement
+(`_band_sets`), and a window cell is decided by that search alone.  The
+exact window optimum is found only by `empirical_d_minus`: read off the
+extremal sequences, or by emptiness checks over such alphabets when
+there are none.  The window thresholds are step functions of d_plus, so
+grid cells in one window piece share a band, searched once.  A
 half-order cell's thresholds are computed in integers
 (`half_order_thresholds`), and its two-endpoint profile is built only
 when the cell has extremal sequences to compare with it.  Each order's
@@ -276,15 +277,17 @@ def _graphical_counts(n: int) -> tuple:
     return tuple((total >> width * 2 * m) & mask for m in range(n * (n - 1) // 2 + 1))
 
 
+@functools.lru_cache(maxsize=1)
 def _band_sets(n: int, m: int, lo: int, lo_strict: int, hi: int, hi_strict: int) -> tuple:
-    """(violations, extremal): the graphical sequences of length n, sum 2m,
-    with no degree in [lo, hi], and those with none in [lo_strict,
-    hi_strict].  The strict band lies inside the closed one, so the
-    violations are filtered out of the extremal sequences, which are
-    searched over the degrees outside the strict band."""
+    """(violations, extremal) as tuples: the graphical sequences of length
+    n, sum 2m, with no degree in [lo, hi], and those with none in
+    [lo_strict, hi_strict].  The strict band lies inside the closed one, so
+    the violations are filtered out of the extremal sequences, which are
+    searched over the degrees outside it.  One band is kept: thresholds
+    never fall as d_plus grows, so `window_summary` meets each piece once."""
     extremal = []
     _search(n, m, _outside(n, lo_strict, hi_strict), extremal)
-    return [s for s in extremal if not any(lo <= d <= hi for d in s)], extremal
+    return tuple(s for s in extremal if not any(lo <= d <= hi for d in s)), tuple(extremal)
 
 
 @dataclass
@@ -297,8 +300,8 @@ class VerificationReport:
     the two-endpoint profile and deviations land in `profile_mismatches`.
     A profile mismatch is not a counterexample: every off-profile
     boundary sequence has a degree outside the closed interval (stars
-    and their complements, for example).  Window scans also record the
-    empirical optimum and whether it reaches the theory bound (`bound_ok`).
+    and their complements, for example).  Window scans also record
+    whether the optimum (`empirical_d_minus`) reaches the bound (`bound_ok`).
     The scan covers every graphical sequence of the cell without visiting
     them: it searches only the degrees that avoid the band, and every
     sequence not found there has a degree inside it.  Their number is
@@ -310,7 +313,6 @@ class VerificationReport:
     violations: list
     extremal_sequences: list
     profile_mismatches: list = field(default_factory=list)
-    empirical_d_minus: Optional[int] = None
     bound_ok: Optional[bool] = None
 
 
@@ -341,33 +343,28 @@ def verify_half_order(n: int, m: int) -> VerificationReport:
     if extremal and 0 < p.m < p.max_edges:  # 0 < d < n-1
         expected = _profile_sequence(p)
         mismatches = [s for s in extremal if s != expected]
-    return VerificationReport(p, None, violations, extremal, mismatches)
+    return VerificationReport(p, None, list(violations), list(extremal), mismatches)
 
 
-@functools.lru_cache(maxsize=1)
-def _window_band(n: int, m: int, lo: int, lo_strict: int, hi: int, hi_strict: int) -> tuple:
-    """(violations, extremal, low_max) of one window band: `_band_sets` as
-    tuples, and the least, over every graphical sequence of length n and
-    sum 2m, of its largest degree <= hi_strict (-1 when it has none).  Any
-    thresholds are accepted, among them those `window_thresholds` gives
-    for every d < d_plus <= n-1, at or below the root sqrt(d n) too.
+def _band_low(n: int, m: int, lo: int, lo_strict: int, hi: int, hi_strict: int) -> int:
+    """The least, over every graphical sequence of length n and sum 2m, of
+    its largest degree <= hi_strict (-1 when it has none), for any
+    thresholds: those `window_thresholds` gives for every d < d_plus <= n-1
+    among them, at or below the root sqrt(d n) too.
 
-    Every sequence outside the extremal set has a degree in [lo_strict,
-    hi_strict] and every one inside it has none, so a non-empty extremal
-    set holds the optimum.  Only when it is empty do first-hit checks walk
-    up from lo_strict to the least L with a graphical sequence over
-    [0, L] and [hi_strict+1, n-1]; the walk ends by L = hi_strict, where
-    the alphabet is every degree.  One band at a time is kept, which is
-    enough for `window_summary`: the thresholds never decrease as d_plus
-    grows, so the grid cells of one window piece come in a row."""
-    violations, extremal = _band_sets(n, m, lo, lo_strict, hi, hi_strict)
+    Every sequence outside the band's extremal set has a degree in
+    [lo_strict, hi_strict] and every one inside it has none, so a non-empty
+    extremal set (from the cached `_band_sets`) holds the optimum.  Only
+    when it is empty do first-hit checks walk up from lo_strict to the
+    least L with a graphical sequence over [0, L] and [hi_strict+1, n-1];
+    the walk ends by L = hi_strict, where the alphabet is every degree."""
+    extremal = _band_sets(n, m, lo, lo_strict, hi, hi_strict)[1]
     if extremal:
-        low = min(max((d for d in s if d <= hi_strict), default=-1) for s in extremal)
-    else:
-        low = lo_strict
-        while low < hi_strict and not _search(n, m, _outside(n, low + 1, hi_strict), None):
-            low += 1
-    return tuple(violations), tuple(extremal), low
+        return min(max((d for d in s if d <= hi_strict), default=-1) for s in extremal)
+    low = lo_strict
+    while low < hi_strict and not _search(n, m, _outside(n, low + 1, hi_strict), None):
+        low += 1
+    return low
 
 
 def empirical_d_minus(n: int, m: int, d_plus) -> int:
@@ -378,12 +375,12 @@ def empirical_d_minus(n: int, m: int, d_plus) -> int:
     This is the true optimum the closed-form bound approximates: the
     sequence attaining it has every degree <= the returned value or
     >= d_plus.  Comparisons against d_plus reduce to integer thresholds,
-    so the scan is exact for any rational d_plus.  It is the value
-    `verify_window` reports, read from the same cached band
-    (`_window_band`): taken from the band's extremal sequences, with a
-    walk of emptiness checks only when there are none.
+    so the scan is exact for any rational d_plus.  It is the one place
+    the optimum is computed (`_band_low`): read off the extremal
+    sequences of the band `verify_window` searches, with a walk of
+    emptiness checks only when there are none.
     """
-    return _window_band(n, m, *window_thresholds(GraphParams(n, m), d_plus))[2]
+    return _band_low(n, m, *window_thresholds(GraphParams(n, m), d_plus))
 
 
 def verify_window(n: int, m: int, d_plus) -> VerificationReport:
@@ -391,14 +388,16 @@ def verify_window(n: int, m: int, d_plus) -> VerificationReport:
     decided on exact integer thresholds; needs sqrt(d n) < d_plus <= n-1.
 
     Grid cells in one window piece have the same thresholds and share one
-    band, searched once (`_window_band`); each report gets its own lists."""
+    band, searched once (`_band_sets`); each report gets its own lists.
+    `bound_ok` (optimum >= lo) is, like the violations, a filter over the
+    extremal sequences: only they can miss [lo, hi_strict]."""
     p = GraphParams(n, m)
     lo, lo_strict, hi, hi_strict = window_thresholds(p, d_plus)
     if lo == 0:  # lo = ceil(opt_value), 0 exactly when d_plus <= sqrt(d n)
         require_above_root(p, d_plus)  # raises
-    violations, extremal, low_max = _window_band(n, m, lo, lo_strict, hi, hi_strict)
-    return VerificationReport(p, d_plus, list(violations), list(extremal),
-                              empirical_d_minus=low_max, bound_ok=low_max >= lo)
+    violations, extremal = _band_sets(n, m, lo, lo_strict, hi, hi_strict)
+    bound_ok = all(any(lo <= d <= hi_strict for d in s) for s in extremal)
+    return VerificationReport(p, d_plus, list(violations), list(extremal), bound_ok=bound_ok)
 
 
 def window_grid(n: int, m: int) -> list:

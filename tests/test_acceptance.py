@@ -129,7 +129,7 @@ def test_03_window_exhaustive():
                 rep = verify_window(n, m, dp)
                 violations += len(rep.violations)
                 cells += 1
-                if rep.empirical_d_minus < opt_value(rep.params, dp) - 1e-9:
+                if empirical_d_minus(n, m, dp) < opt_value(rep.params, dp) - 1e-9:
                     floor_failures += 1
     ok = violations == 0 and floor_failures == 0
     assert report(3, ok, f"{cells} (n, m, d_plus) cells, {violations} violations, "

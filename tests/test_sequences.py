@@ -487,11 +487,11 @@ class TestVerifyWindow:
     def test_reference_cases(self):
         rep = verify_window(4, 3, 3)
         assert rep.violations == []
-        assert rep.empirical_d_minus == 1
+        assert empirical_d_minus(4, 3, 3) == 1
         assert rep.bound_ok
 
         rep = verify_window(4, 3, 2.75)
-        assert rep.violations == [] and rep.empirical_d_minus == 1
+        assert rep.violations == [] and empirical_d_minus(4, 3, 2.75) == 1
 
         rep = verify_window(6, 6, 5)
         assert rep.violations == [] and rep.bound_ok
@@ -510,34 +510,71 @@ class TestVerifyWindow:
             # exact steps of one tenth
             assert all(dp == Fraction(round(dp * 10), 10) for dp in grid)
 
-    def test_one_search_per_window_piece(self):
-        # Along each m's grid the thresholds never decrease, so the cells of
-        # one window piece come in a row and the one-band cache misses
-        # exactly once per piece.
-        n, pieces = 9, set()
+    @staticmethod
+    def window_pieces(n):
+        # The distinct (m, thresholds) of the order's grid cells, checking
+        # on the way that along each m's grid the thresholds never decrease.
+        pieces = set()
         for m in range(1, n * (n - 1) // 2):
             walk = [window_thresholds(GraphParams(n, m), dp) for dp in window_grid(n, m)]
             assert all(a <= b for prev, t in zip(walk, walk[1:]) for a, b in zip(prev, t))
             pieces.update((m, t) for t in walk)
-        sequences._window_band.cache_clear()
+        return pieces
+
+    def test_one_search_per_window_piece(self):
+        # Along each m's grid the thresholds never decrease, so the cells of
+        # one window piece come in a row and the one-band cache misses
+        # exactly once per piece.
+        n, pieces = 9, self.window_pieces(9)
+        sequences._band_sets.cache_clear()
         summary = sequences.window_summary(n)
-        info = sequences._window_band.cache_info()
+        info = sequences._band_sets.cache_info()
         assert (info.misses, info.hits + info.misses, info.currsize) == \
             (len(pieces), summary.cells, 1)
         assert len(pieces) < summary.cells
 
+    def test_t2_runs_one_search_per_window_piece(self, monkeypatch):
+        # No walk of first-hit checks is left on the t2 path: window_summary
+        # calls _search once per window piece, for that piece's band.
+        search, calls = sequences._search, []
+
+        def counted(n, m, alphabet, out):
+            calls.append((n, m))
+            return search(n, m, alphabet, out)
+        monkeypatch.setattr(sequences, "_search", counted)
+        sequences._band_sets.cache_clear()
+        sequences.window_summary(9)
+        assert len(calls) == len(self.window_pieces(9))
+
+    def test_bound_ok_is_the_optimum_reaching_lo(self):
+        # At every quarter-integer d_plus above the root, the filter over the
+        # extremal sequences gives what comparing the exact optimum with lo
+        # gives.  Grid cells have no extremal sequences; test_every_band
+        # covers the filter on non-empty sets.
+        cells = 0
+        for n in range(2, 9):
+            for m in range(1, n * (n - 1) // 2):
+                for q in range(math.isqrt(32 * m) + 1, 4 * (n - 1) + 1):
+                    dp = Fraction(q, 4)
+                    lo = window_thresholds(GraphParams(n, m), dp)[0]
+                    assert verify_window(n, m, dp).bound_ok == \
+                        (empirical_d_minus(n, m, dp) >= lo), (n, m, dp)
+                    cells += 1
+        assert cells == 512
+
     def test_reports_from_one_band_own_their_lists(self):
-        sequences._window_band.cache_clear()
+        sequences._band_sets.cache_clear()
         first, second = verify_window(9, 18, Fraction(7)), verify_window(9, 18, 7.0)
-        assert sequences._window_band.cache_info().hits == 1
+        assert sequences._band_sets.cache_info().hits == 1
         first.violations.append((8,) * 9)
         first.extremal_sequences.append((8,) * 9)
         assert second.violations == second.extremal_sequences == []
         third = verify_window(9, 18, 7)
         assert third.violations == third.extremal_sequences == []
-        hits = sequences._window_band.cache_info().hits
-        assert empirical_d_minus(9, 18, 7) == third.empirical_d_minus
-        assert sequences._window_band.cache_info().hits == hits + 1
+        hits = sequences._band_sets.cache_info().hits
+        assert empirical_d_minus(9, 18, 7) == reference_band_scan(
+            9, 18, *window_thresholds(GraphParams(9, 18), 7))[3]
+        assert sequences._band_sets.cache_info().hits == hits + 1
 
     def test_order_limit_error_is_not_cached(self):
         for _ in range(2):
@@ -602,26 +639,36 @@ class TestBandScanAgainstReference:
         for n in range(3, 9):
             for m in range(1, n * (n - 1) // 2):
                 for dp in window_grid(n, m):
-                    _, violations, extremal, low_max = reference_band_scan(
-                        n, m, *window_thresholds(GraphParams(n, m), dp))
+                    band = window_thresholds(GraphParams(n, m), dp)
+                    _, violations, extremal, low_max = reference_band_scan(n, m, *band)
                     rep = verify_window(n, m, dp)
                     assert rep.violations == violations, (n, m, dp)
                     assert rep.extremal_sequences == extremal, (n, m, dp)
-                    assert rep.empirical_d_minus == low_max, (n, m, dp)
+                    assert rep.bound_ok == (low_max >= band[0]), (n, m, dp)
                     assert empirical_d_minus(n, m, dp) == low_max, (n, m, dp)
 
-    def test_every_band(self):
+    def test_every_band(self, monkeypatch):
         # Every band, not only those of window cells: every grid cell has an
-        # empty extremal set, so it never reaches the branch that reads the
-        # optimum off that set.
+        # empty extremal set, so it never reaches the branches that read the
+        # optimum and bound_ok off that set.  verify_window is handed each
+        # band in place of its thresholds, so its own filter over
+        # _band_sets(...)[1] decides bound_ok here.
+        band, nonempty = None, 0
+        monkeypatch.setattr(sequences, "window_thresholds", lambda p, d_plus: band)
+        monkeypatch.setattr(sequences, "require_above_root", lambda p, d_plus: None)
         for n in range(2, 8):
             for m in range(n * (n - 1) // 2 + 1):
                 for lo in range(n):
                     for hi in range(lo, n):
                         for band in itertools.product([lo], [lo, lo + 1], [hi], [hi, hi - 1]):
                             _, violations, extremal, low_max = reference_band_scan(n, m, *band)
-                            assert sequences._window_band(n, m, *band) == \
-                                (tuple(violations), tuple(extremal), low_max), (n, m, band)
+                            assert sequences._band_sets(n, m, *band) == \
+                                (tuple(violations), tuple(extremal)), (n, m, band)
+                            assert sequences._band_low(n, m, *band) == low_max, (n, m, band)
+                            assert verify_window(n, m, n - 1).bound_ok == (low_max >= lo), \
+                                (n, m, band)
+                            nonempty += bool(extremal)
+        assert nonempty == 3370
 
     def test_sequences_are_tuples_of_python_ints(self):
         for n in range(2, 8):
