@@ -26,8 +26,8 @@ also in integers; every window function checks its arguments there.
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError
 from .params import GraphParams, Interval
@@ -112,8 +112,7 @@ def half_order_thresholds(p: GraphParams) -> tuple:
     return -(-u // lo_den), u // lo_den + 1, hi_num // hi_den, -(-hi_num // hi_den) - 1
 
 
-@dataclass(frozen=True)
-class ExtremalProfile:
+class ExtremalProfile(NamedTuple):
     """Shape of the boundary graph for the half-order interval.
 
     A clique of size_plus vertices, an independent set of size_minus, and

@@ -14,9 +14,9 @@ curves can be checked and replotted without loss.
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from . import bounds, extremal, optim, sequences
 from .errors import DomainError
@@ -28,8 +28,7 @@ DEFAULT_SWEEP_DENSITIES = (0.25, 0.5, 0.81)
 MAX_SWEEP_STEPS = 10 ** 6  # samples per density; refused above, before any is built
 
 
-@dataclass
-class SweepRow:
+class SweepRow(NamedTuple):
     d_over_n: float
     d_plus_over_n: float
     ell_min_over_n: float

@@ -15,8 +15,8 @@ against the theoretical bound; it can approach but never beat it.
 
 import heapq
 import math
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .bounds import extremal_profile, require_above_root
 from .errors import DomainError, InfeasibleConstructionError, NotRealizableError
@@ -25,8 +25,7 @@ from .optim import closed_form_solution
 from .params import GraphParams
 
 
-@dataclass
-class ConstructionResult:
+class ConstructionResult(NamedTuple):
     """A constructed graph with its measured parameters and target gaps.
 
     `achieved_params` is recomputed from the graph, never copied from the

@@ -31,7 +31,6 @@ runtime dependency.
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -44,8 +43,7 @@ GRID_STEPS = 120  # grid points per axis in every round of `solve_grid`
 REFINE_ROUNDS = 5  # shrink-and-rescan rounds after its coarse pass
 
 
-@dataclass(frozen=True)
-class OptSolution:
+class OptSolution(NamedTuple):
     """Candidate point of the relaxation with optional feasibility data."""
 
     d_minus: float
@@ -102,7 +100,7 @@ def check_feasible(sol: OptSolution, p: GraphParams, d_plus) -> list:
 
 def _with_feasibility(sol: OptSolution, p: GraphParams, d_plus) -> OptSolution:
     res = constraint_residuals(sol, p, d_plus)
-    return replace(sol, residuals=res, feasible=not _violations(res, p))
+    return sol._replace(residuals=res, feasible=not _violations(res, p))
 
 
 def closed_form_solution(p: GraphParams, d_plus) -> OptSolution:

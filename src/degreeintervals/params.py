@@ -6,7 +6,6 @@ stored as fractions, so comparisons against integer vertex degrees never
 see rounding.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
@@ -20,8 +19,35 @@ def _fmt(value) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class GraphParams:
+class _Value:
+    """Base of the immutable value types below.  Fields live in
+    `__slots__` and are set once, in `__init__`; assigning or deleting one
+    raises AttributeError.  Two values are equal, and hash alike, exactly
+    when they are of the same type with equal fields."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class GraphParams(_Value):
     """Order and edge count of a graph, with exact derived densities.
 
     The edge count is normally an integer.  `from_density` admits a
@@ -30,16 +56,18 @@ class GraphParams:
     constructions and sequence scans require integer m.
     """
 
-    n: int
-    m: Fraction
+    __slots__ = ("n", "m")
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
-            raise DomainError(f"order must be an integer >= 2, got {self.n!r}")
-        object.__setattr__(self, "m", Fraction(self.m))
-        if not 0 <= self.m <= self.max_edges:
-            raise DomainError(
-                f"edge count {self.m} outside [0, {self.max_edges}] for order {self.n}")
+    def __init__(self, n: int, m):
+        if not isinstance(n, int) or n < 2:
+            raise DomainError(f"order must be an integer >= 2, got {n!r}")
+        m = Fraction(m)
+        max_edges = n * (n - 1) // 2
+        # 0 <= m <= max_edges, in integers (the denominator is positive).
+        if not 0 <= m.numerator <= max_edges * m.denominator:
+            raise DomainError(f"edge count {m} outside [0, {max_edges}] for order {n}")
+        _set_n(self, n)
+        _set_m(self, m)
 
     @classmethod
     def from_density(cls, n: int, d) -> "GraphParams":
@@ -67,16 +95,16 @@ class GraphParams:
         return f"GraphParams(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(_Value):
     """Closed real interval [lo, hi]."""
 
-    lo: object
-    hi: object
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise DomainError(f"empty interval: lo={self.lo} > hi={self.hi}")
+    def __init__(self, lo, hi):
+        if lo > hi:
+            raise DomainError(f"empty interval: lo={lo} > hi={hi}")
+        _set_lo(self, lo)
+        _set_hi(self, hi)
 
     def contains(self, value) -> bool:
         return self.lo <= value <= self.hi
@@ -85,5 +113,14 @@ class Interval:
     def length(self):
         return self.hi - self.lo
 
+    def __repr__(self):
+        return f"Interval(lo={self.lo!r}, hi={self.hi!r})"
+
     def __str__(self):
         return f"[{_fmt(self.lo)}, {_fmt(self.hi)}]"
+
+
+# The slots' own setters, which bypass the read-only __setattr__; only
+# __init__ uses them.
+_set_n, _set_m = GraphParams.n.__set__, GraphParams.m.__set__
+_set_lo, _set_hi = Interval.lo.__set__, Interval.hi.__set__

@@ -34,7 +34,6 @@ of comma-separated integers; graphs use the edge-list format of
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from operator import add
@@ -290,8 +289,7 @@ def _band_sets(n: int, m: int, lo: int, lo_strict: int, hi: int, hi_strict: int)
     return tuple(s for s in extremal if not any(lo <= d <= hi for d in s)), tuple(extremal)
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one exhaustive scan over graphical sequences.
 
     `violations` holds sequences with no entry in the guaranteed closed
@@ -312,7 +310,7 @@ class VerificationReport:
     d_plus: Optional[object]
     violations: list
     extremal_sequences: list
-    profile_mismatches: list = field(default_factory=list)
+    profile_mismatches: list
     bound_ok: Optional[bool] = None
 
 
@@ -397,7 +395,7 @@ def verify_window(n: int, m: int, d_plus) -> VerificationReport:
         require_above_root(p, d_plus)  # raises
     violations, extremal = _band_sets(n, m, lo, lo_strict, hi, hi_strict)
     bound_ok = all(any(lo <= d <= hi_strict for d in s) for s in extremal)
-    return VerificationReport(p, d_plus, list(violations), list(extremal), bound_ok=bound_ok)
+    return VerificationReport(p, d_plus, list(violations), list(extremal), [], bound_ok)
 
 
 def window_grid(n: int, m: int) -> list:

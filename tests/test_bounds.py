@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from bisect import bisect_left
 from decimal import Decimal
 from fractions import Fraction
@@ -9,6 +11,7 @@ import pytest
 from degreeintervals import (
     DomainError,
     GraphParams,
+    Interval,
     complement_edge_count_slack,
     d_minus_bound,
     edge_count_slack,
@@ -31,6 +34,39 @@ def all_params(n_max):
     for n in range(2, n_max + 1):
         for m in range(0, n * (n - 1) // 2 + 1):
             yield GraphParams(n, m)
+
+
+class TestValueTypes:
+    def test_params_and_intervals_are_immutable_values(self):
+        p = GraphParams(4, 3)
+        iv = Interval(Fraction(2), Fraction(3))
+        assert p == GraphParams(4, Fraction(3)) and hash(p) == hash(GraphParams(4, Fraction(3)))
+        assert iv == Interval(2, Fraction(3)) and hash(iv) == hash(Interval(2, Fraction(3)))
+        # Equal only to their own type, never to a tuple of their fields.
+        assert p != (4, 3) and iv != (2, 3)
+        assert repr(p) == "GraphParams(n=4, m=3)"
+        assert repr(iv) == "Interval(lo=Fraction(2, 1), hi=Fraction(3, 1))"
+        assert str(iv) == "[2, 3]"
+        for value, name in ((p, "n"), (p, "m"), (iv, "lo"), (iv, "hi")):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+            assert copy.copy(value) == value == pickle.loads(pickle.dumps(value))
+        assert (p.n, p.m, iv.lo, iv.hi) == (4, 3, 2, 3)
+
+    def test_validation_errors(self):
+        for args, text in [((1, 0), "order must be an integer >= 2, got 1"),
+                           ((4.0, 1), "order must be an integer >= 2, got 4.0"),
+                           ((4, 7), "edge count 7 outside [0, 6] for order 4"),
+                           ((4, Fraction(-1, 2)), "edge count -1/2 outside [0, 6] for order 4")]:
+            with pytest.raises(DomainError) as info:
+                GraphParams(*args)
+            assert str(info.value) == text
+        # Both ends of [0, max_edges] are in range, fractional m too.
+        assert [GraphParams(4, m).m for m in (0, Fraction(11, 2), 6)] == [0, Fraction(11, 2), 6]
+        with pytest.raises(DomainError, match=r"^empty interval: lo=1/2 > hi=1/3$"):
+            Interval(Fraction(1, 2), Fraction(1, 3))
 
 
 class TestHalfOrderInterval:

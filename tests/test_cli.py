@@ -285,6 +285,15 @@ def test_unknown_command_exits_two(capsys):
     assert main(["frobnicate"]) == 2
 
 
+def run_fresh(script, cwd):
+    """Run `script` in a fresh interpreter that imports the package under test."""
+    src = str(Path(degreeintervals.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_numpy_stays_off_the_import_path(tmp_path):
     # The package has no third-party runtime dependency; a fresh
     # interpreter with numpy blocked runs every command that uses the grid
@@ -300,12 +309,22 @@ for argv in (["verify", "--mode", "t1", "--nmax", "6"], ["check-seq", "--seq", "
              ["verify", "--mode", "opt", "--grid", "quick"]):
     main(argv)
 """
-    src = str(Path(degreeintervals.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_fresh(script, tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cold_import_skips_dataclasses(tmp_path):
+    # Every command is a cold process, so start-up is part of its cost.
+    # `dataclasses` pulls in `inspect` (and with it `ast`, `dis` and
+    # `tokenize`); the record types are NamedTuples and __slots__ classes.
+    script = """
+import sys
+import degreeintervals.cli
+print(sorted({"dataclasses", "inspect"} & sys.modules.keys()))
+"""
+    proc = run_fresh(script, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_public_names_resolve():

@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -69,8 +68,8 @@ def dense_solve_grid(p, d_plus):
             f"no feasible grid point for n={n}, d={p.d}, d_plus={d_plus}")
     val, bx, bb = min(found)
     sol = OptSolution(val, val, bb, bx)
-    return replace(sol, residuals=constraint_residuals(sol, p, d_plus),
-                   feasible=not check_feasible(sol, p, d_plus))
+    return sol._replace(residuals=constraint_residuals(sol, p, d_plus),
+                        feasible=not check_feasible(sol, p, d_plus))
 
 
 def exact_fields(sol):
