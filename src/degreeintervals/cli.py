@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from . import bounds, extremal, optim, sequences
 from .errors import DomainError
-from .graphs import format_edge_list, parse_edge_list
+from .graphs import _edge_list_rows, parse_edge_list
 from .params import GraphParams
 
 SWEEP_HEADER = "d_over_n,d_plus_over_n,ell_min_over_n"
@@ -190,7 +190,7 @@ def cmd_extremal(args) -> int:
         res = extremal.build_split_extremal(args.n, args.m)
     else:
         res = extremal.build_near_extremal(args.n, args.m, args.dplus)
-    sys.stdout.write(format_edge_list(res.graph))
+    sys.stdout.writelines(_edge_list_rows(res.graph))
     for key in sorted(res.gap_report):
         print(f"gap {key}: {res.gap_report[key]:.6g}", file=sys.stderr)
     return 0
@@ -209,7 +209,7 @@ def cmd_peel(args) -> int:
 def cmd_realize(args) -> int:
     seq = sequences.parse_sequence(args.seq)
     g = sequences.realize(seq)
-    sys.stdout.write(format_edge_list(g))
+    sys.stdout.writelines(_edge_list_rows(g))
     return 0
 
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .bounds import extremal_profile, require_above_root
 from .errors import DomainError, InfeasibleConstructionError, NotRealizableError
-from .graphs import Graph
+from .graphs import Graph, require_edge_count
 from .optim import closed_form_solution
 from .params import GraphParams
 
@@ -63,7 +63,8 @@ def build_split_extremal(n: int, m: int) -> ConstructionResult:
     """Split graph whose degrees are exactly the half-order endpoints.
 
     Requires both profile sizes to be even integers; raises
-    NotRealizableError otherwise and DomainError at degenerate density.
+    NotRealizableError otherwise, and DomainError at degenerate density
+    or above `graphs.HARD_EDGE_LIMIT` edges.
     The clique goes in as rows (u, range(u+1, a)) and the cross layer as
     one or two ranges per clique vertex (`_biregular_rows`), through one
     checked row insert.
@@ -71,6 +72,7 @@ def build_split_extremal(n: int, m: int) -> ConstructionResult:
     p = GraphParams(n, m)
     if p.m.denominator != 1:
         raise DomainError("construction needs an integer edge count")
+    require_edge_count(m)
     prof = extremal_profile(p)
     if not prof.realizable:
         raise NotRealizableError(
@@ -142,11 +144,13 @@ def build_near_extremal(n: int, m: int, d_plus) -> ConstructionResult:
     skips, where a scan of every non-neighbour took O(b) (see
     `_deal_cross`).  The total is clamped to the cross capacity a*b, so
     the graph stops at C(a,2) + a*b edges whenever that is below m, well
-    inside the domain too; the shortfall shows up in the gap report.
+    inside the domain too; the shortfall shows up in the gap report.  An
+    m above `graphs.HARD_EDGE_LIMIT` is refused with DomainError first.
     """
     p = GraphParams(n, m)
     if p.m.denominator != 1:
         raise DomainError("construction needs an integer edge count")
+    require_edge_count(m)
     require_above_root(p, d_plus)
     sol = closed_form_solution(p, d_plus)
     ceil_dp = math.ceil(d_plus)

@@ -13,6 +13,24 @@ row at once with set operations; the constructions and `realize` use
 it.  A row that fails a check is handed to `_add_all` edge by edge, so
 every error message, and which bad edge is reported first, comes from
 that one loop.
+
+A row insert shares one int object per vertex: each call makes the list
+`list(range(n))` once, takes every row's u from it, and turns a step-1
+range row inside 0..n-1 into a slice of it.  Iterating a range makes a
+new int (32 bytes) for every entry above 256, so range rows would give
+the split graph of `extremal --n 1000 --m 249750` about 250k ints for
+its 1,000 vertices; shared, it holds one per vertex, and its adjacency
+sets are most of what it takes.
+
+The writer is `_edge_list_rows`, a generator of one string per vertex
+(the header first); `format_edge_list` joins it, and the CLI hands it to
+`writelines`, so the whole edge list is never held as one string.
+
+The constructions and `realize` refuse more than `HARD_EDGE_LIMIT` edges
+before they build anything (`require_edge_count`).  Measured with
+tracemalloc, the adjacency sets of a split or complete graph take 83-104
+bytes per edge (1,000 to 2,000 vertices), and building a near-extremal
+graph peaks at about 165, so a graph at the limit needs 0.8-1.7 GB.
 """
 
 from bisect import bisect_right
@@ -20,6 +38,15 @@ from itertools import repeat
 
 from .errors import DomainError
 from .params import GraphParams
+
+HARD_EDGE_LIMIT = 10 ** 7  # edges in one constructed graph; refused above, before any is built
+
+
+def require_edge_count(m) -> None:
+    """Raise DomainError when a construction asks for more than
+    `HARD_EDGE_LIMIT` edges."""
+    if m > HARD_EDGE_LIMIT:
+        raise DomainError(f"{m} edges above the construction limit {HARD_EDGE_LIMIT}")
 
 
 class Graph:
@@ -56,14 +83,20 @@ class Graph:
         0..n-1 and meets none of u's neighbours; then u's side goes in as
         one set union.  A row that fails goes through `_add_all`, which
         raises the first bad edge's error, so the text and the order of
-        errors are those of the pair loop."""
+        errors are those of the pair loop.  A step-1 range inside 0..n-1
+        is first replaced by the same vertices sliced from `verts`, and u
+        is taken from `verts`, so the sets share one int per vertex."""
         n, adj = self.n, self._adj
+        verts = list(range(n))
         for u, vs in rows:
             if not vs:
                 continue
+            if type(vs) is range and vs.step == 1 and 0 <= vs.start and vs.stop <= n:
+                vs = verts[vs.start:vs.stop]
             row = set(vs)
             if (0 <= u < n and len(row) == len(vs) and u not in row
                     and 0 <= min(row) and max(row) < n and adj[u].isdisjoint(row)):
+                u = verts[u]
                 adj[u] |= row
                 for v in vs:
                     adj[v].add(u)
@@ -116,19 +149,23 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def format_edge_list(g: Graph) -> str:
-    """The "n m" header, then for each u ascending one row of "u v" lines,
-    v > u ascending: the bytes of sorting every edge, written a vertex at
-    a time, with each vertex turned into a string once."""
+def _edge_list_rows(g: Graph):
+    """The "n m" header line, then for each u ascending one string of
+    "u v" lines, v > u ascending: the bytes of sorting every edge, a
+    vertex at a time, with each vertex turned into a string once."""
     names = [str(v) for v in range(g.n)]
-    rows = [f"{g.n} {g.m}\n"]
+    yield f"{g.n} {g.m}\n"
     for u, nbrs in enumerate(g._adj):
         ordered = sorted(nbrs)
         above = ordered[bisect_right(ordered, u):]
         if above:
             head = names[u] + " "
-            rows.append(head + ("\n" + head).join([names[v] for v in above]) + "\n")
-    return "".join(rows)
+            yield head + ("\n" + head).join([names[v] for v in above]) + "\n"
+
+
+def format_edge_list(g: Graph) -> str:
+    """The wire format of `g` as one string (see `_edge_list_rows`)."""
+    return "".join(_edge_list_rows(g))
 
 
 def _edge_pairs(lines):

@@ -225,7 +225,8 @@ def _joint_round(d, n, xs, bs, bound):
     top = bs[-2]
     least, row, k = math.inf, None, None
     for x in xs:
-        if (d - x * top) / (1.0 - x) > bound:
+        rest, xn = 1.0 - x, x * n  # per row; the same IEEE operations as inline
+        if (d - x * top) / rest > bound:
             continue
         if k is None:
             # The exact boundary starts the first row: dbar_minus >= 0 iff
@@ -234,14 +235,14 @@ def _joint_round(d, n, xs, bs, bound):
             k = bisect_right(bs, min(d / x, (d + x * x * n) / (2.0 * x)), 0, len(bs) - 1)
         while k:  # down while column k-1 is infeasible
             b = bs[k - 1]
-            value = (d - x * b) / (1.0 - x)
-            if value >= 0.0 and (1.0 - x) * value - (b - x * n) * x >= 0.0:
+            value = (d - x * b) / rest
+            if value >= 0.0 and rest * value - (b - xn) * x >= 0.0:
                 break
             k -= 1
         while True:  # up while column k is feasible
             b = bs[k]
-            dbar_minus = (d - x * b) / (1.0 - x)
-            if not (dbar_minus >= 0.0 and (1.0 - x) * dbar_minus - (b - x * n) * x >= 0.0):
+            dbar_minus = (d - x * b) / rest
+            if not (dbar_minus >= 0.0 and rest * dbar_minus - (b - xn) * x >= 0.0):
                 break
             value, k = dbar_minus, k + 1
         # value is dbar_minus at column k-1, the row's least objective
@@ -262,9 +263,10 @@ def _edge_round(d, n, xs, b):
     points of the one-column grid xs x [b], None where none is."""
     least, row = math.inf, None
     for x in xs:
-        dbar_minus = (d - x * b) / (1.0 - x)
-        if (dbar_minus >= 0.0 and (1.0 - x) * dbar_minus - (b - x * n) * x >= 0.0
-                and dbar_minus < least):
+        rest = 1.0 - x
+        dbar_minus = (d - x * b) / rest
+        # The cheap comparison with the best so far comes before the cross term.
+        if 0.0 <= dbar_minus < least and rest * dbar_minus - (b - x * n) * x >= 0.0:
             least, row = dbar_minus, x
     return None if row is None else (least, row, b)
 

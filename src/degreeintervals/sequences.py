@@ -42,7 +42,7 @@ from typing import Iterator, NamedTuple, Optional
 from .bounds import (_half_order_bounds, extremal_profile, half_order_thresholds,
                      require_above_root, require_window_domain, window_thresholds)
 from .errors import DomainError, EnumerationLimitError, NotGraphicalError
-from .graphs import Graph
+from .graphs import Graph, require_edge_count
 from .params import GraphParams, Interval
 
 HARD_ORDER_LIMIT = 12
@@ -112,8 +112,11 @@ def realize(degrees) -> Graph:
     number (the largest k with d_k >= k).  A step keeps its edges as rows
     (v, head), one per bucket it takes from, and the graph is built from
     all rows in one checked row insert (`Graph._add_rows`) at the end.
+    A sequence of more than `graphs.HARD_EDGE_LIMIT` edges is refused
+    with DomainError before the Erdos-Gallai check.
     """
     s = as_degree_sequence(degrees)
+    require_edge_count(sum(s) // 2)
     if not _eg_ok(s):
         raise NotGraphicalError(f"sequence {s} is not graphical")
     rows = []

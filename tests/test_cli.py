@@ -3,12 +3,13 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import degreeintervals
-from degreeintervals import DomainError, Graph, cli, format_edge_list, sequences
+from degreeintervals import DomainError, Graph, cli, format_edge_list, graphs, sequences
 from degreeintervals.cli import MAX_SWEEP_STEPS, main, read_sweep_csv, sweep_rows
 
 
@@ -216,6 +217,36 @@ class TestConstructionCommands:
     def test_realize_rejects_non_graphical(self, capsys):
         rc, _, err = run(capsys, "realize", "--seq", "3,3,1,1")
         assert rc == 2
+
+    def test_edge_limit_refused_before_building(self, capsys):
+        # 2.5e9 and 2.5e7 edges: refused with exit 2 before any row is built.
+        commands = [("extremal", "--n", "100000", "--m", "2499975000"),
+                    ("extremal", "--n", "100000", "--m", "2499975000", "--dplus", "90000"),
+                    ("realize", "--seq", ",".join(["5000"] * 10001))]
+        tracemalloc.start()
+        try:
+            results = [run(capsys, *argv) for argv in commands]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for rc, out, err in results:
+            assert rc == 2 and out == ""
+            assert f"above the construction limit {graphs.HARD_EDGE_LIMIT}" in err
+        assert peak < 10 ** 7
+
+    def test_edge_limit_is_inclusive(self, capsys, monkeypatch):
+        commands = [("extremal", "--n", "4", "--m", "3"),
+                    ("extremal", "--n", "4", "--m", "3", "--dplus", "3"),
+                    ("realize", "--seq", "3,1,1,1")]
+        monkeypatch.setattr(graphs, "HARD_EDGE_LIMIT", 3)
+        for argv in commands:
+            rc, out, _ = run(capsys, *argv)
+            assert rc == 0 and out.startswith("4 3\n"), argv
+        monkeypatch.setattr(graphs, "HARD_EDGE_LIMIT", 2)
+        for argv in commands:
+            rc, out, err = run(capsys, *argv)
+            assert rc == 2 and out == "", argv
+            assert "3 edges above the construction limit 2" in err
 
     def test_check_seq(self, capsys):
         rc, out, _ = run(capsys, "check-seq", "--seq", "3,1,1,1")

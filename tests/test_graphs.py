@@ -14,6 +14,7 @@ from degreeintervals import (
     parse_edge_list,
     realize,
 )
+from degreeintervals.graphs import _edge_list_rows
 from test_extremal import split_parity_ok
 
 
@@ -72,6 +73,25 @@ class TestWriter:
             g = random_graph(n, 0.4, rng)
             for h in (Graph.complete(n), g.complement(), realize(g.degrees())):
                 assert format_edge_list(h) == reference_format_edge_list(h), n
+
+    def test_rows_join_to_the_writer(self):
+        rng = random.Random(1903)
+        graphs = [random_graph(n, 0.3, rng, n // 4) for n in range(25)]
+        for g in itertools.chain(graphs, small_constructions()):
+            rows = list(_edge_list_rows(g))
+            assert all(row.endswith("\n") for row in rows), g
+            assert "".join(rows) == format_edge_list(g) == reference_format_edge_list(g), g
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_split_extremal(1000, 249750).graph,
+    lambda: Graph.complete(300),
+], ids=["split-1000", "complete-300"])
+def test_row_insert_shares_one_int_per_vertex(build):
+    # Iterating a range makes a new int for every entry above 256; the
+    # row insert slices its one list of vertices instead.
+    g = build()
+    assert len({id(x) for s in g._adj for x in s}) <= g.n
 
 
 def error_texts(n, edges):
@@ -182,6 +202,9 @@ class TestRowInsert:
         ([(0, range(1, 3)), (1, [3]), (0, [3, 1])], "duplicate edge (0, 1)"),
         ([(0, [1, 2]), (1, [0])], "duplicate edge (1, 0)"),
         ([(2, [3]), (0, [1]), (3, range(0, 3))], "duplicate edge (3, 2)"),
+        ([(0, range(2, 6))], "edge (0, 4) outside vertex range 0..3"),
+        ([(0, range(1, 4, 2)), (1, range(3, -1, -2))], "loop at vertex 1 not allowed"),
+        ([(3, range(0, 3, 2)), (2, range(3, 4))], "duplicate edge (2, 3)"),
     ])
     def test_rows_give_the_pair_loop_error(self, rows, text):
         pairs = [(u, v) for u, vs in rows for v in vs]
