@@ -90,8 +90,9 @@ def build_split_extremal(n: int, m: int) -> ConstructionResult:
     return ConstructionResult(g, achieved, set(degrees), prof, gap)
 
 
-def _deal_cross(g: Graph, a: int, b: int, total: int):
-    """Add `total` edges from clique 0..a-1 to independent a..a+b-1.
+def _deal_cross(a: int, b: int, total: int) -> list:
+    """Rows (u, vs) of `total` edges from clique 0..a-1 to independent
+    a..a+b-1, one row per clique vertex.
 
     The k-th edge starts at clique vertex k mod a and ends at the
     least-loaded independent vertex not yet adjacent to it, ties toward
@@ -102,16 +103,16 @@ def _deal_cross(g: Graph, a: int, b: int, total: int):
     entry is not adjacent to u yields the least (load, j) among u's
     non-neighbours, which is that rule by construction.  An edge costs
     O((1 + s) log b), where s counts the entries skipped as neighbours
-    of u, in place of the O(b) scan of every non-neighbour: on
-    `build_near_extremal(400, 39900, 300)` s totals 200 over 20,397
-    edges, while a complete 200 x 200 cross layer skips about 27 per edge.
+    of u: on `build_near_extremal(400, 39900, 300)` s totals 200 over
+    20,397 edges, while a complete 200 x 200 cross layer skips about 27
+    per edge.
 
-    Adjacency is read from one local set per dealer, seeded with its
-    neighbours in g on the independent side and grown as it deals, so the
-    rule stays exact for any g.  The dealt edges go in at the end as one
-    row per dealer, in one checked row insert.
+    Adjacency is read from one local set per dealer, grown as it deals.
+    The rows take their vertices from one list of the independent side,
+    so they share one int per vertex.
     """
-    taken = [{v - a for v in g.neighbors(u) if v >= a} for u in range(a)]
+    taken = [set() for _ in range(a)]
+    right = list(range(a, a + b))
     rows = [[] for _ in range(a)]
     loads = [(0, j) for j in range(b)]  # a heap of (load, j), one entry per j
     for k in range(total):
@@ -126,8 +127,8 @@ def _deal_cross(g: Graph, a: int, b: int, total: int):
             heapq.heappush(loads, entry)
         heapq.heappush(loads, (load + 1, j))
         mine.add(j)
-        rows[u].append(a + j)
-    g._add_rows(enumerate(rows))
+        rows[u].append(right[j])
+    return list(enumerate(rows))
 
 
 def build_near_extremal(n: int, m: int, d_plus) -> ConstructionResult:
@@ -141,11 +142,12 @@ def build_near_extremal(n: int, m: int, d_plus) -> ConstructionResult:
     ends at the least-loaded independent vertex not yet adjacent to it,
     ties toward the lower index.  A heap of (load, index) finds that
     vertex in O((1 + s) log b) per edge, s the dealer's neighbours it
-    skips, where a scan of every non-neighbour took O(b) (see
-    `_deal_cross`).  The total is clamped to the cross capacity a*b, so
-    the graph stops at C(a,2) + a*b edges whenever that is below m, well
-    inside the domain too; the shortfall shows up in the gap report.  An
-    m above `graphs.HARD_EDGE_LIMIT` is refused with DomainError first.
+    skips (see `_deal_cross`).  The clique rows and the dealt rows go in
+    through one checked row insert.  The total is clamped to the cross
+    capacity a*b, so the graph stops at C(a,2) + a*b edges whenever that
+    is below m, well inside the domain too; the shortfall shows up in the
+    gap report.  An m above `graphs.HARD_EDGE_LIMIT` is refused with
+    DomainError first.
     """
     p = GraphParams(n, m)
     if p.m.denominator != 1:
@@ -168,8 +170,8 @@ def build_near_extremal(n: int, m: int, d_plus) -> ConstructionResult:
     b = n - a
 
     g = Graph(n)
-    g._add_rows((u, range(u + 1, a)) for u in range(a))
-    _deal_cross(g, a, b, min(max(m - a * (a - 1) // 2, 0), a * b))
+    total = min(max(m - a * (a - 1) // 2, 0), a * b)
+    g._add_rows(chain(((u, range(u + 1, a)) for u in range(a)), _deal_cross(a, b, total)))
 
     achieved = GraphParams(n, g.m)
     degrees = g.degrees()

@@ -27,10 +27,16 @@ The writer is `_edge_list_rows`, a generator of one string per vertex
 `writelines`, so the whole edge list is never held as one string.
 
 The constructions and `realize` refuse more than `HARD_EDGE_LIMIT` edges
-before they build anything (`require_edge_count`).  Measured with
-tracemalloc, the adjacency sets of a split or complete graph take 83-104
-bytes per edge (1,000 to 2,000 vertices), and building a near-extremal
-graph peaks at about 165, so a graph at the limit needs 0.8-1.7 GB.
+before they build anything (`require_edge_count`), and `Graph` refuses
+more than `HARD_VERTEX_LIMIT` vertices before it makes any adjacency set,
+so no graph, built or read, is larger; both raise `DomainError`.
+Measured with tracemalloc, the adjacency sets of a split or complete
+graph take 83-104 bytes per edge (1,000 to 2,000 vertices), and building
+a near-extremal graph peaks at about 105, so the edges of a graph at the
+limit need 0.8-1.05 GB.  A vertex costs about 360 bytes at the peak of
+`extremal --n 1000000 --m 10 --dplus 5` (its empty set, the shared int
+and its name in the writer), so a graph at both limits needs at most
+about 1.4 GB.
 """
 
 from bisect import bisect_right
@@ -40,6 +46,7 @@ from .errors import DomainError
 from .params import GraphParams
 
 HARD_EDGE_LIMIT = 10 ** 7  # edges in one constructed graph; refused above, before any is built
+HARD_VERTEX_LIMIT = 10 ** 6  # vertices in one graph; refused above, before any is allocated
 
 
 def require_edge_count(m) -> None:
@@ -57,6 +64,8 @@ class Graph:
     def __init__(self, n: int, edges=()):
         if not isinstance(n, int) or n < 0:
             raise DomainError(f"order must be a non-negative integer, got {n!r}")
+        if n > HARD_VERTEX_LIMIT:
+            raise DomainError(f"{n} vertices above the graph limit {HARD_VERTEX_LIMIT}")
         self.n = n
         self._adj = [set() for _ in range(n)]
         self._add_all(edges)

@@ -17,16 +17,17 @@ class fraction:
 After eliminating dbar_minus through the mixture identity and setting
 d_minus = dbar_minus (forced at an optimum), two degrees of freedom
 remain, so an exhaustive grid over (x, dbar_plus) with window refinement
-is a trustworthy check.  One shrink-and-rescan loop does the search; it
-runs on dbar_plus in [d_plus, n] and again on the one-point range
-[d_plus, d_plus], the edge where the joint window can stall, whose grid
-is the single column d_plus.  Each round evaluates only each grid row's
-feasibility boundary, and skips the rows that cannot win, which gives
-the same result as the dense scan of every grid point, bit for bit:
-along a row both constraints are monotone in dbar_plus, even in
-floating point (the proofs are in `solve_grid`).  The oracle runs on
-Python floats, one problem at a time; the package has no third-party
-runtime dependency.
+is a trustworthy check.  One shrink-and-rescan loop, with one round
+function, does the search: it runs on dbar_plus in [d_plus, n] and
+again on the one-point range [d_plus, d_plus], the edge where the joint
+window can stall.  A range collapsed to one point is one grid column, so
+every round of that second pass scans the column d_plus alone.  Each
+round evaluates only each grid row's feasibility boundary, and skips the
+rows that cannot win, which gives the same result as the dense scan of
+every grid point, bit for bit: along a row both constraints are monotone
+in dbar_plus, even in floating point (the proofs are in `solve_grid`).
+The oracle runs on Python floats, one problem at a time; the package has
+no third-party runtime dependency.
 """
 
 import math
@@ -128,8 +129,9 @@ def solve_grid(p: GraphParams, d_plus) -> OptSolution:
     dbar_minus is eliminated through the mixture identity and d_minus is
     set equal to it.  A coarse GRID_STEPS x GRID_STEPS scan is followed
     by REFINE_ROUNDS rounds that shrink the window around the incumbent
-    by a factor of 10 and rescan.  That loop runs twice, over dbar_plus
-    in [d_plus, n] and over the one-point range [d_plus, d_plus]; the
+    by a factor of 10 and rescan.  That loop, `_shrink_and_rescan`, runs
+    twice, over dbar_plus in [d_plus, n] and over the one-point range
+    [d_plus, d_plus], and each of its rounds is one `_joint_round`; the
     smaller result wins, the joint one on a tie.  Ties break toward
     smaller x, then smaller dbar_plus, so the result is deterministic.
 
@@ -159,8 +161,12 @@ def solve_grid(p: GraphParams, d_plus) -> OptSolution:
     best objective so far, any round result taken from the row is above
     the best and does not replace it, under the (objective, x, dbar_plus)
     order; and the window of the next round is read from the best alone.
-    In the edge pass every round's dbar_plus range is [d_plus, d_plus],
-    whose grid is the single column d_plus.
+
+    A dbar_plus range collapsed to one point adds that point once, or not
+    at all when it is d_plus, already column 0: by the repeated-column
+    rule this chooses the point the dense scan of the collapsed range
+    does.  So every round of the second pass is the one-column grid
+    [d_plus] (with its +inf end), which the proofs above cover.
     """
     require_window_domain(p, d_plus)
     d, n, b_min = float(p.d), float(p.n), float(d_plus)
@@ -168,7 +174,7 @@ def solve_grid(p: GraphParams, d_plus) -> OptSolution:
     # stretches of the cross-constraint boundary curve; with dbar_plus
     # fixed, the incumbent stays within one grid spacing of the edge
     # optimum, so that pass cannot strand.
-    passes = _shrink_and_rescan(d, n, b_min, n), _shrink_and_rescan(d, n, b_min, None)
+    passes = _shrink_and_rescan(d, n, b_min, n), _shrink_and_rescan(d, n, b_min, b_min)
     found = [r for r in passes if r]
     if not found:
         raise InfeasibleSearchError(
@@ -179,34 +185,33 @@ def solve_grid(p: GraphParams, d_plus) -> OptSolution:
 
 def _shrink_and_rescan(d, n, b_min, b_max):
     """Best (objective, x, dbar_plus) over the rounds, None when no grid
-    point was feasible.  dbar_plus ranges over [b_min, b_max], or is
-    b_min alone when b_max is None (the edge pass)."""
+    point was feasible.  dbar_plus ranges over [b_min, b_max]; the x and
+    dbar_plus windows shrink alike around the best point so far."""
     x_lo, x_hi = X_EDGE, 1.0 - X_EDGE
     b_lo, b_hi = b_min, b_max
     best = None
     for _ in range(REFINE_ROUNDS + 1):
         xs = _linspace(x_lo, x_hi)
-        if b_max is None:
-            cand = _edge_round(d, n, xs, b_min)
-        else:
-            # Keep the admissible lower edge of dbar_plus sampled in every
-            # round; window refinement around the incumbent can otherwise
-            # strand a minimizer sitting exactly on that boundary.  A last
-            # column of +inf is infeasible for every x, so column k exists
-            # for every count k of feasible columns.
-            bs = [b_min, *_linspace(b_lo, b_hi), math.inf]
-            cand = _joint_round(d, n, xs, bs, best[0] if best else math.inf)
+        # Keep the admissible lower edge of dbar_plus sampled in every
+        # round; window refinement around the incumbent can otherwise
+        # strand a minimizer sitting exactly on that boundary.  A range
+        # collapsed to one point adds it once, or not at all when it is
+        # that edge: a repeated column changes no chosen point.  A last
+        # column of +inf is infeasible for every x, so column k exists for
+        # every count k of feasible columns.
+        cols = _linspace(b_lo, b_hi) if b_lo < b_hi else [b_lo] if b_lo > b_min else []
+        bs = [b_min, *cols, math.inf]
+        cand = _joint_round(d, n, xs, bs, best[0] if best else math.inf)
         if cand and (best is None or cand < best):
             best = cand
         cx = best[1] if best else 0.5 * (x_lo + x_hi)
+        cb = best[2] if best else 0.5 * (b_lo + b_hi)
         wx = (x_hi - x_lo) / 10.0
+        wb = (b_hi - b_lo) / 10.0
         x_lo = max(X_EDGE, cx - wx / 2)
         x_hi = min(1.0 - X_EDGE, cx + wx / 2)
-        if b_max is not None:
-            cb = best[2] if best else 0.5 * (b_lo + b_hi)
-            wb = (b_hi - b_lo) / 10.0
-            b_lo = max(b_min, cb - wb / 2)
-            b_hi = min(b_max, cb + wb / 2)
+        b_lo = max(b_min, cb - wb / 2)
+        b_hi = min(b_max, cb + wb / 2)
     return best
 
 
@@ -256,19 +261,6 @@ def _joint_round(d, n, xs, bs, bound):
     while j and (d - x * bs[j - 1]) / (1.0 - x) == least:
         j -= 1
     return (d - x * bs[j]) / (1.0 - x), x, bs[j]
-
-
-def _edge_round(d, n, xs, b):
-    """The first (objective, x, b) of least objective over the feasible
-    points of the one-column grid xs x [b], None where none is."""
-    least, row = math.inf, None
-    for x in xs:
-        rest = 1.0 - x
-        dbar_minus = (d - x * b) / rest
-        # The cheap comparison with the best so far comes before the cross term.
-        if 0.0 <= dbar_minus < least and rest * dbar_minus - (b - x * n) * x >= 0.0:
-            least, row = dbar_minus, x
-    return None if row is None else (least, row, b)
 
 
 _INDEX = [float(i) for i in range(GRID_STEPS - 1)]  # exact, and faster to multiply than ints

@@ -1,3 +1,4 @@
+import io
 import math
 import os
 import re
@@ -247,6 +248,23 @@ class TestConstructionCommands:
             rc, out, err = run(capsys, *argv)
             assert rc == 2 and out == "", argv
             assert "3 edges above the construction limit 2" in err
+
+    def test_vertex_limit_refused_before_building(self, capsys, monkeypatch):
+        # 10^8 vertices with 10 edges, and with none read from stdin:
+        # refused with exit 2 before any adjacency set is made.
+        monkeypatch.setattr(sys, "stdin", io.StringIO("100000000 0\n"))
+        commands = [("extremal", "--n", "100000000", "--m", "10", "--dplus", "5"),
+                    ("peel", "-")]
+        tracemalloc.start()
+        try:
+            results = [run(capsys, *argv) for argv in commands]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for rc, out, err in results:
+            assert rc == 2 and out == ""
+            assert f"100000000 vertices above the graph limit {graphs.HARD_VERTEX_LIMIT}" in err
+        assert peak < 10 ** 7
 
     def test_check_seq(self, capsys):
         rc, out, _ = run(capsys, "check-seq", "--seq", "3,1,1,1")

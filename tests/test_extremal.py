@@ -1,5 +1,4 @@
 import math
-import random
 from collections import Counter
 from fractions import Fraction
 
@@ -159,22 +158,9 @@ class TestNearExtremal:
             for b in range(1, 17 - a):
                 for total in range(a * b + 1):
                     heap, scan = Graph(a + b), Graph(a + b)
-                    _deal_cross(heap, a, b, total)
+                    heap._add_rows(_deal_cross(a, b, total))
                     min_scan_deal(scan, a, b, total)
                     assert heap.edges() == scan.edges(), (a, b, total)
-
-    def test_cross_deal_reads_cross_edges_already_in_g(self):
-        # the deal starts from whatever cross edges g already holds
-        rng = random.Random(2003)
-        for _ in range(300):
-            a, b = rng.randint(1, 8), rng.randint(1, 8)
-            seed = [(u, a + j) for u in range(a) for j in range(b) if rng.random() < 0.4]
-            free = min(b - sum(1 for v, _ in seed if v == u) for u in range(a))
-            total = rng.randint(0, a * free)
-            heap, scan = Graph(a + b, seed), Graph(a + b, seed)
-            _deal_cross(heap, a, b, total)
-            min_scan_deal(scan, a, b, total)
-            assert heap.edges() == scan.edges(), (a, b, seed, total)
 
     def test_shortfall_shows_in_gap_report(self):
         # The cross layer holds at most a*b edges, so the graph stops at

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from degreeintervals import (
+    DomainError,
     Graph,
     build_near_extremal,
     build_split_extremal,
@@ -14,6 +15,7 @@ from degreeintervals import (
     parse_edge_list,
     realize,
 )
+from degreeintervals import graphs
 from degreeintervals.graphs import _edge_list_rows
 from test_extremal import split_parity_ok
 
@@ -86,7 +88,8 @@ class TestWriter:
 @pytest.mark.parametrize("build", [
     lambda: build_split_extremal(1000, 249750).graph,
     lambda: Graph.complete(300),
-], ids=["split-1000", "complete-300"])
+    lambda: build_near_extremal(1500, 500000, 1200).graph,
+], ids=["split-1000", "complete-300", "near-1500"])
 def test_row_insert_shares_one_int_per_vertex(build):
     # Iterating a range makes a new int for every entry above 256; the
     # row insert slices its one list of vertices instead.
@@ -126,6 +129,12 @@ class TestInsertLoop:
     ])
     def test_every_path_gives_the_same_error(self, edges, text):
         assert error_texts(4, edges) == [text] * 3
+
+    def test_vertex_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(graphs, "HARD_VERTEX_LIMIT", 4)
+        assert Graph(4).n == 4
+        with pytest.raises(DomainError, match="^5 vertices above the graph limit 4$"):
+            Graph(5)
 
     def test_empty_order_rejects_every_edge(self):
         assert error_texts(0, [(0, 0)]) == ["edge (0, 0) outside vertex range 0..-1"] * 3

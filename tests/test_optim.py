@@ -366,12 +366,18 @@ class TestRowBoundary:
             assert [hex_point(optim._joint_round(*row, math.inf)) for row in rows] == dense
 
     def test_joint_round_is_the_dense_argmin(self):
-        tied = 0
-        for d, n, xs, bs in [r[:4] for r in real_rounds()] + list(tied_rounds(5, 180)):
-            best, ties = dense_argmin(d, n, xs, bs)
-            assert hex_point(optim._joint_round(d, n, xs, bs, math.inf)) == best
-            tied += ties
-        assert tied > 60
+        # Whole grids, then the one-column grids [b, +inf] of a range
+        # collapsed onto its lower edge, as every round of the edge pass is.
+        rounds = [r[:4] for r in real_rounds()]
+        columns = [(d, n, xs, [bs[0], math.inf])
+                   for d, n, xs, bs in rounds + list(tied_rounds(7, 180))]
+        for grids in (rounds + list(tied_rounds(5, 180)), columns):
+            tied = 0
+            for d, n, xs, bs in grids:
+                best, ties = dense_argmin(d, n, xs, bs)
+                assert hex_point(optim._joint_round(d, n, xs, bs, math.inf)) == best
+                tied += ties
+            assert tied > 60
 
     def test_pruned_rows_cannot_win(self):
         # With any bound at or above the round's least objective the round
@@ -387,14 +393,6 @@ class TestRowBoundary:
             for bound in (math.nextafter(v, -math.inf), v - 1.0):
                 low = optim._joint_round(d, n, xs, bs, bound)
                 assert low is None or low[0] > bound
-
-    def test_edge_round_is_the_dense_argmin(self):
-        tied = 0
-        for d, n, xs, bs in [r[:4] for r in real_rounds()] + list(tied_rounds(7, 180)):
-            best, ties = dense_argmin(d, n, xs, bs[:1])
-            assert hex_point(optim._edge_round(d, n, xs, bs[0])) == best
-            tied += ties
-        assert tied > 60
 
     def test_linspace_rows_match_numpy(self):
         rng = random.Random(3)
