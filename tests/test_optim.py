@@ -366,18 +366,23 @@ class TestRowBoundary:
             assert [hex_point(optim._joint_round(*row, math.inf)) for row in rows] == dense
 
     def test_joint_round_is_the_dense_argmin(self):
-        # Whole grids, then the one-column grids [b, +inf] of a range
-        # collapsed onto its lower edge, as every round of the edge pass is.
-        rounds = [r[:4] for r in real_rounds()]
-        columns = [(d, n, xs, [bs[0], math.inf])
-                   for d, n, xs, bs in rounds + list(tied_rounds(7, 180))]
-        for grids in (rounds + list(tied_rounds(5, 180)), columns):
-            tied = 0
-            for d, n, xs, bs in grids:
-                best, ties = dense_argmin(d, n, xs, bs)
-                assert hex_point(optim._joint_round(d, n, xs, bs, math.inf)) == best
-                tied += ties
-            assert tied > 60
+        tied = 0
+        for d, n, xs, bs in [r[:4] for r in real_rounds()] + list(tied_rounds(5, 180)):
+            best, ties = dense_argmin(d, n, xs, bs)
+            assert hex_point(optim._joint_round(d, n, xs, bs, math.inf)) == best
+            tied += ties
+        assert tied > 60
+
+    def test_edge_round_is_the_dense_argmin(self):
+        # Every round of the edge pass is a one-column grid [b, +inf]: a
+        # dbar_plus range collapsed onto its lower edge.
+        tied = 0
+        for d, n, xs, bs in [r[:4] for r in real_rounds()] + list(tied_rounds(7, 180)):
+            column = [bs[0], math.inf]
+            best, ties = dense_argmin(d, n, xs, column)
+            assert hex_point(optim._joint_round(d, n, xs, column, math.inf)) == best
+            tied += ties
+        assert tied > 60
 
     def test_pruned_rows_cannot_win(self):
         # With any bound at or above the round's least objective the round
