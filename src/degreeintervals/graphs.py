@@ -118,11 +118,16 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and v in self._adj[u]
 
+    def _adj_of(self, v: int) -> set:
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} outside vertex range 0..{self.n - 1}")
+        return self._adj[v]
+
     def neighbors(self, v: int) -> set:
-        return set(self._adj[v])
+        return set(self._adj_of(v))
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return len(self._adj_of(v))
 
     def degrees(self) -> list:
         """Per-vertex degrees in vertex order."""

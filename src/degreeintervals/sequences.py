@@ -16,16 +16,16 @@ outside the closed band and an extremal sequence every degree outside
 the strict one, so each is searched over that band's complement
 (`_band_sets`), and a window cell is decided by that search alone.  The
 exact window optimum is found only by `empirical_d_minus`: read off the
-extremal sequences, or by emptiness checks over such alphabets when
-there are none.  The window thresholds are step functions of d_plus, so
-grid cells in one window piece share a band, searched once.  A
-half-order cell's thresholds are computed in integers
-(`half_order_thresholds`), and its two-endpoint profile is built only
-when the cell has extremal sequences to compare with it.  Each order's
-sequences are counted once, by a Durfee-square recurrence stepped with
-suffix sums (`_graphical_counts`).  Full enumeration
-(`enumerate_graphical`) over the alphabet 0..n-1 is kept as the tests'
-oracle.
+extremal sequences, or, when there are none, off the first non-empty
+listing over alphabets that widen one degree at a time.  The window
+thresholds are step functions of d_plus, so grid cells in one window
+piece share a band, searched once.  A half-order cell's thresholds are
+computed in integers (`half_order_thresholds`), and its two-endpoint
+profile is built only when the cell has extremal sequences to compare
+with it.  Each order's sequences are counted once, by a Durfee-square
+recurrence stepped with suffix sums (`_graphical_counts`).  Full
+enumeration (`enumerate_graphical`) over the alphabet 0..n-1 is kept as
+the tests' oracle.
 
 Wire formats shared with the command line: a degree sequence is one line
 of comma-separated integers; graphs use the edge-list format of
@@ -145,15 +145,14 @@ def realize(degrees) -> Graph:
     return g
 
 
-def _extend(d: list, alphabet: list, j: int, out: Optional[list], i: int, rem: int,
-            lhs: int) -> bool:
+def _extend(d: list, alphabet: list, j: int, out: list, i: int, rem: int, lhs: int):
     # Fills d[i:] with non-increasing values from alphabet[j:] (descending)
     # summing to rem, in lexicographically decreasing order, and appends each
-    # graphical fill to out as a tuple; with out None it stops at the first
-    # and returns True.  lhs is sum(d[:i]).  A value v at position k = i+1
-    # leaves a tail of n-k entries <= v summing to r = rem - v, so the k-th
-    # Erdos-Gallai right side is at most k(k-1) + min(r, (n-k)k); a prefix
-    # above that bound has no graphical completion.
+    # graphical fill to out as a tuple.  lhs is sum(d[:i]).  A value v at
+    # position k = i+1 leaves a tail of n-k entries <= v summing to
+    # r = rem - v, so the k-th Erdos-Gallai right side is at most
+    # k(k-1) + min(r, (n-k)k); a prefix above that bound has no graphical
+    # completion.
     n = len(d)
     k = i + 1
     floor_k = k * (k - 1)
@@ -170,26 +169,23 @@ def _extend(d: list, alphabet: list, j: int, out: Optional[list], i: int, rem: i
             continue
         d[i] = v
         if k < n:
-            if _extend(d, alphabet, j, out, k, r, lhs + v):
-                return True
+            _extend(d, alphabet, j, out, k, r, lhs + v)
         elif _eg_ok(tuple(d)):
-            if out is None:
-                return True
             out.append(tuple(d))
-    return False
 
 
-def _search(n: int, m: int, alphabet: list, out: Optional[list]) -> bool:
-    """Appends to out the graphical sequences of length n and sum 2m whose
-    every degree lies in `alphabet` (descending), lexicographically
-    decreasing; with out None, returns whether there is one.  The one
-    place that requires an integer m and enforces `HARD_ORDER_LIMIT`."""
+def _search(n: int, m: int, alphabet: list) -> list:
+    """The graphical sequences of length n and sum 2m whose every degree
+    lies in `alphabet` (descending), lexicographically decreasing.  The
+    one place that requires an integer m and enforces `HARD_ORDER_LIMIT`."""
     if m != int(m):
         raise DomainError(f"edge count {m!r} is not an integer")
     if n > HARD_ORDER_LIMIT:
         raise EnumerationLimitError(
             f"order {n} above enumeration limit {HARD_ORDER_LIMIT}")
-    return _extend([0] * n, alphabet, 0, out, 0, 2 * int(m), 0)
+    out = []
+    _extend([0] * n, alphabet, 0, out, 0, 2 * int(m), 0)
+    return out
 
 
 def _outside(n: int, a: int, b: int) -> list:
@@ -209,9 +205,7 @@ def enumerate_graphical(n: int, m: int) -> Iterator[DegreeSequence]:
     call it: they search band-avoiding alphabets, and `half_order_summary`
     counts each order by `_graphical_counts`; it is their test oracle."""
     GraphParams(n, m)  # validates the order and the edge count
-    out = []
-    _search(n, m, list(range(n - 1, -1, -1)), out)
-    yield from out
+    yield from _search(n, m, list(range(n - 1, -1, -1)))
 
 
 def graphical_sequences(n: int, m: int) -> tuple:
@@ -287,9 +281,8 @@ def _band_sets(n: int, m: int, lo: int, lo_strict: int, hi: int, hi_strict: int)
     the violations are filtered out of the extremal sequences, which are
     searched over the degrees outside it.  One band is kept: thresholds
     never fall as d_plus grows, so `window_summary` meets each piece once."""
-    extremal = []
-    _search(n, m, _outside(n, lo_strict, hi_strict), extremal)
-    return tuple(s for s in extremal if not any(lo <= d <= hi for d in s)), tuple(extremal)
+    extremal = tuple(_search(n, m, _outside(n, lo_strict, hi_strict)))
+    return tuple(s for s in extremal if not any(lo <= d <= hi for d in s)), extremal
 
 
 class VerificationReport(NamedTuple):
@@ -347,27 +340,6 @@ def verify_half_order(n: int, m: int) -> VerificationReport:
     return VerificationReport(p, None, list(violations), list(extremal), mismatches)
 
 
-def _band_low(n: int, m: int, lo: int, lo_strict: int, hi: int, hi_strict: int) -> int:
-    """The least, over every graphical sequence of length n and sum 2m, of
-    its largest degree <= hi_strict (-1 when it has none), for any
-    thresholds: those `window_thresholds` gives for every d < d_plus <= n-1
-    among them, at or below the root sqrt(d n) too.
-
-    Every sequence outside the band's extremal set has a degree in
-    [lo_strict, hi_strict] and every one inside it has none, so a non-empty
-    extremal set (from the cached `_band_sets`) holds the optimum.  Only
-    when it is empty do first-hit checks walk up from lo_strict to the
-    least L with a graphical sequence over [0, L] and [hi_strict+1, n-1];
-    the walk ends by L = hi_strict, where the alphabet is every degree."""
-    extremal = _band_sets(n, m, lo, lo_strict, hi, hi_strict)[1]
-    if extremal:
-        return min(max((d for d in s if d <= hi_strict), default=-1) for s in extremal)
-    low = lo_strict
-    while low < hi_strict and not _search(n, m, _outside(n, low + 1, hi_strict), None):
-        low += 1
-    return low
-
-
 def empirical_d_minus(n: int, m: int, d_plus) -> int:
     """Exact minimum, over all graphical sequences with sum 2m, of the
     largest degree strictly below d_plus; needs d < d_plus <= n-1, and
@@ -375,13 +347,23 @@ def empirical_d_minus(n: int, m: int, d_plus) -> int:
 
     This is the true optimum the closed-form bound approximates: the
     sequence attaining it has every degree <= the returned value or
-    >= d_plus.  Comparisons against d_plus reduce to integer thresholds,
-    so the scan is exact for any rational d_plus.  It is the one place
-    the optimum is computed (`_band_low`): read off the extremal
-    sequences of the band `verify_window` searches, with a walk of
-    emptiness checks only when there are none.
+    >= d_plus.  Comparisons against d_plus reduce to integer thresholds
+    (`window_thresholds`), so the scan is exact for any rational d_plus.
+
+    One loop lists, for L = lo_strict-1, lo_strict, ..., the graphical
+    sequences over [0, L] and [hi_strict+1, n-1], and stops at the first
+    L with any; every degree of those <= hi_strict is at most L.  At
+    L = lo_strict-1 the listing is the band's extremal set, cached by
+    `_band_sets` for `verify_window`, and the optimum may lie below L;
+    past it none lies below L, since the listing at L-1 was empty.  The
+    loop ends by L = hi_strict, where the alphabet is every degree.
     """
-    return _band_low(n, m, *window_thresholds(GraphParams(n, m), d_plus))
+    lo, lo_strict, hi, hi_strict = window_thresholds(GraphParams(n, m), d_plus)
+    low, found = lo_strict - 1, _band_sets(n, m, lo, lo_strict, hi, hi_strict)[1]
+    while not found:
+        low += 1
+        found = _search(n, m, _outside(n, low + 1, hi_strict))
+    return min(max((d for d in s if d <= hi_strict), default=-1) for s in found)
 
 
 def verify_window(n: int, m: int, d_plus) -> VerificationReport:
@@ -478,26 +460,30 @@ def peel_trace(g: Graph) -> list:
     degree list, and a removal decrements every neighbour's entry.  A
     removed vertex's entry is never read again, so only the live degrees
     matter.  Each step's interval and thresholds come from the live order
-    and edge count alone (`bounds._half_order_bounds`).
+    and edge count alone (`bounds._half_order_bounds`).  The live vertices
+    are kept in descending index order and scanned from the end, so the
+    usual pick, the lowest live index, is popped off the end of the list
+    without shifting the rest.  A pick deeper in the list still costs a
+    scan and a shift, O(n) per step in the worst case.
     """
     adj = g._adj
     deg = g.degrees()
     edges = sum(deg) // 2
-    alive = list(range(g.n))
+    alive = list(range(g.n - 1, -1, -1))
     steps = []
     while alive:
         if len(alive) >= 2:
             iv, lo, hi = _half_order_bounds(len(alive), edges)
         else:
             iv, lo, hi = Interval(Fraction(0), Fraction(0)), 0, 0
-        pick = next((v for v in alive if lo <= deg[v] <= hi), None)
-        if pick is None:
+        i = next((i for i in range(len(alive) - 1, -1, -1) if lo <= deg[alive[i]] <= hi), None)
+        if i is None:
             raise RuntimeError("no vertex degree in the guaranteed interval")
+        pick = alive.pop(i)
         steps.append(PeelStep(pick, deg[pick], iv))
         edges -= deg[pick]
         for u in adj[pick]:
             deg[u] -= 1
-        alive.remove(pick)
     return steps
 
 

@@ -139,6 +139,15 @@ class TestInsertLoop:
     def test_empty_order_rejects_every_edge(self):
         assert error_texts(0, [(0, 0)]) == ["edge (0, 0) outside vertex range 0..-1"] * 3
 
+    @pytest.mark.parametrize("v", [-1, -3, 3, 4])
+    def test_vertex_reads_check_the_range(self, v):
+        # A negative index would read a vertex from the end of the adjacency list.
+        g = Graph(3, [(0, 1)])
+        for read in (g.degree, g.neighbors):
+            with pytest.raises(ValueError, match=f"^vertex {v} outside vertex range 0..2$"):
+                read(v)
+        assert (g.degree(0), g.neighbors(0), g.degree(2), g.neighbors(2)) == (1, {1}, 0, set())
+
     def test_first_bad_line_is_reported(self):
         # a loop before a malformed line: the loop is the first fault
         with pytest.raises(ValueError, match="loop at vertex 1"):

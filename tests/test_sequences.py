@@ -360,10 +360,7 @@ class TestAlphabetSearch:
                 every = list(enumerate_graphical(n, m))
                 for alphabet in self.alphabets(n, rng):
                     expected = [s for s in every if set(s) <= set(alphabet)]
-                    out = []
-                    sequences._search(n, m, alphabet, out)
-                    assert out == expected, (n, m, alphabet)
-                    assert sequences._search(n, m, alphabet, None) == bool(expected)
+                    assert sequences._search(n, m, alphabet) == expected, (n, m, alphabet)
                     nonempty += bool(expected)
         assert nonempty > 500
 
@@ -381,6 +378,24 @@ class TestEmpiricalDMinus:
                     *_, low_max = reference_band_scan(
                         n, m, *window_thresholds(GraphParams(n, m), dp))
                     assert empirical_d_minus(n, m, dp) == low_max, (n, m, dp)
+
+    def test_integer_d_plus_at_orders_9_and_10(self):
+        # Every integer d_plus in (d, n-1], at or below the root too, against
+        # one enumeration per (n, m); most cells have no extremal sequence,
+        # so the loop widens its alphabet past the band's complement.
+        cells = walked = 0
+        for n in (9, 10):
+            for m in range(1, n * (n - 1) // 2):
+                seqs = list(enumerate_graphical(n, m))
+                for dp in range(2 * m // n + 1, n):
+                    band = window_thresholds(GraphParams(n, m), dp)
+                    hi_strict = band[3]
+                    low_max = min(max((d for d in s if d <= hi_strict), default=-1)
+                                  for s in seqs)
+                    assert empirical_d_minus(n, m, dp) == low_max, (n, m, dp)
+                    cells += 1
+                    walked += not sequences._band_sets(n, m, *band)[1]
+        assert (cells, walked) == (372, 289)
 
     def test_relaxation_floor(self):
         for n in range(4, 8):
@@ -534,13 +549,13 @@ class TestVerifyWindow:
         assert len(pieces) < summary.cells
 
     def test_t2_runs_one_search_per_window_piece(self, monkeypatch):
-        # No walk of first-hit checks is left on the t2 path: window_summary
+        # No walk of the exact optimum is on the t2 path: window_summary
         # calls _search once per window piece, for that piece's band.
         search, calls = sequences._search, []
 
-        def counted(n, m, alphabet, out):
+        def counted(n, m, alphabet):
             calls.append((n, m))
-            return search(n, m, alphabet, out)
+            return search(n, m, alphabet)
         monkeypatch.setattr(sequences, "_search", counted)
         sequences._band_sets.cache_clear()
         sequences.window_summary(9)
@@ -652,7 +667,8 @@ class TestBandScanAgainstReference:
         # empty extremal set, so it never reaches the branches that read the
         # optimum and bound_ok off that set.  verify_window is handed each
         # band in place of its thresholds, so its own filter over
-        # _band_sets(...)[1] decides bound_ok here.
+        # _band_sets(...)[1] decides bound_ok here, and empirical_d_minus
+        # starts its loop from that set.
         band, nonempty = None, 0
         monkeypatch.setattr(sequences, "window_thresholds", lambda p, d_plus: band)
         monkeypatch.setattr(sequences, "require_above_root", lambda p, d_plus: None)
@@ -664,7 +680,7 @@ class TestBandScanAgainstReference:
                             _, violations, extremal, low_max = reference_band_scan(n, m, *band)
                             assert sequences._band_sets(n, m, *band) == \
                                 (tuple(violations), tuple(extremal)), (n, m, band)
-                            assert sequences._band_low(n, m, *band) == low_max, (n, m, band)
+                            assert empirical_d_minus(n, m, n - 1) == low_max, (n, m, band)
                             assert verify_window(n, m, n - 1).bound_ok == (low_max >= lo), \
                                 (n, m, band)
                             nonempty += bool(extremal)
