@@ -196,13 +196,30 @@ def cmd_extremal(args) -> int:
     return 0
 
 
+def _ratio(num: int, den: int) -> str:
+    """`str(Fraction(num, den))` for num >= 0 and den > 0, without the
+    Fraction: reduced p/q, or p alone when q is 1."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+def _peel_lines(g):
+    """The peel trace as text: a header, then "step vertex degree
+    interval" per step, the interval as `str(Interval)` would print it,
+    each line made as `sequences._peel_order` finds its step."""
+    yield "step vertex degree interval\n"
+    for i, (v, d, k, e) in enumerate(sequences._peel_order(g), 1):
+        if k > 1:
+            q = k - 1
+            iv = f"[{_ratio(e, q)}, {_ratio(2 * e + (k - 2) * q, 2 * q)}]"
+        else:
+            iv = "[0, 0]"
+        yield f"{i} {v} {d} {iv}\n"
+
+
 def cmd_peel(args) -> int:
-    text = sys.stdin.read() if args.graph == "-" else Path(args.graph).read_text()
-    g = parse_edge_list(text)
-    steps = sequences.peel_trace(g)
-    print("step vertex degree interval")
-    for i, st in enumerate(steps, 1):
-        print(f"{i} {st.vertex} {st.degree} {st.interval}")
+    g = parse_edge_list(sys.stdin.read() if args.graph == "-" else Path(args.graph).read_text())
+    sys.stdout.writelines(_peel_lines(g))
     return 0
 
 

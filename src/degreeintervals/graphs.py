@@ -5,14 +5,22 @@ The writer emits u < v, sorted by u and then by v, one row of lines per
 vertex; the reader takes the edges in any order and checks each one as
 it inserts it.
 
+The reader (`parse_edge_list`) splits its text `_CHUNK` characters at a
+time, each chunk ending just after a "\n" (`_chunk_lines`), and inserts
+each edge as its line is read, so it never holds a list of every line.
+It takes both endpoints of every edge from one `list(range(n))`, so a
+graph read holds one int per vertex, as a built one does.  Lines are
+only counted after a fault, since a wrong edge count is reported before
+any bad edge.
+
 Edges go in through one of two shapes.  `Graph._add_all` takes (u, v)
 pairs and checks each one as it inserts it; it is the loop behind
-`Graph(n, edges)`, `add_edge` and the reader.  `Graph._add_rows` takes
-rows (u, vs), a vertex and all its new neighbours, and checks a whole
-row at once with set operations; the constructions and `realize` use
-it.  A row that fails a check is handed to `_add_all` edge by edge, so
-every error message, and which bad edge is reported first, comes from
-that one loop.
+`Graph(n, edges)` and `add_edge`.  `Graph._add_rows` takes rows (u, vs),
+a vertex and all its new neighbours, and checks a whole row at once with
+set operations; the constructions and `realize` use it.  A row that
+fails a check is handed to `_add_all` edge by edge, and so is an edge
+line that fails the reader's own checks, so every error message, and
+which bad edge is reported first, comes from that one loop.
 
 A row insert shares one int object per vertex: each call makes the list
 `list(range(n))` once, takes every row's u from it, and turns a step-1
@@ -36,17 +44,20 @@ a near-extremal graph peaks at about 105, so the edges of a graph at the
 limit need 0.8-1.05 GB.  A vertex costs about 360 bytes at the peak of
 `extremal --n 1000000 --m 10 --dplus 5` (its empty set, the shared int
 and its name in the writer), so a graph at both limits needs at most
-about 1.4 GB.
+about 1.4 GB.  Reading peaks at about the graph's own size: 85 bytes per
+edge for the n = 1000 split graph (83 held), and 264 per vertex for an
+edgeless graph (its empty set and the shared int list).
 """
 
 from bisect import bisect_right
-from itertools import repeat
+from itertools import chain, repeat
 
 from .errors import DomainError
 from .params import GraphParams
 
 HARD_EDGE_LIMIT = 10 ** 7  # edges in one constructed graph; refused above, before any is built
 HARD_VERTEX_LIMIT = 10 ** 6  # vertices in one graph; refused above, before any is allocated
+_CHUNK = 1 << 16  # characters the reader splits at a time (`_chunk_lines`)
 
 
 def require_edge_count(m) -> None:
@@ -72,7 +83,11 @@ class Graph:
 
     def _add_all(self, edges):
         """Insert every (u, v) of `edges` in turn, rejecting a vertex out of
-        range, a loop or an edge already present (in either orientation)."""
+        range, a loop or an edge already present (in either orientation).
+        The int objects given are the ones stored; `Graph(n, edges)` and
+        `add_edge` build no list of vertices to share them, so each stays
+        O(1) per edge, while the reader and `_add_rows` take theirs from
+        one `list(range(n))` per call."""
         n, adj = self.n, self._adj
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -182,24 +197,60 @@ def format_edge_list(g: Graph) -> str:
     return "".join(_edge_list_rows(g))
 
 
-def _edge_pairs(lines):
-    for ln in lines:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"edge line must be 'u v', got {ln!r}")
-        yield int(parts[0]), int(parts[1])
+def _chunk_lines(text: str):
+    """`text.splitlines()` a list per chunk of about `_CHUNK` characters.
+    Every chunk but the last ends just after a "\n", which ends a line
+    under every separator `splitlines` knows ("\r\n" included) and starts
+    none, so the chunks split into exactly the lines of the whole text."""
+    start, size = 0, len(text)
+    while start < size:
+        stop = text.find("\n", start + _CHUNK) + 1 or size
+        yield text[start:stop].splitlines()
+        start = stop
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Graph from the wire format.  Lines are read and checked in order, so
-    the first bad line, malformed or an invalid edge, is the one reported."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
+    """Graph from the wire format; blank and whitespace-only lines are
+    skipped.  Faults are reported in this order: a bad header, a line
+    count other than the header's m, an order `Graph` refuses, then the
+    first bad edge line, malformed or an invalid edge.  Each edge goes in
+    as its line is read, with both endpoints taken from one
+    `list(range(n))`, so the graph holds one int per vertex.  An edge
+    that fails a check goes to `Graph._add_all`, which raises its error;
+    after a fault the remaining lines are only counted."""
+    lines = chain.from_iterable(_chunk_lines(text))
+    for raw in lines:
+        head = raw.split()
+        if head:
+            break
+    else:
         raise ValueError("empty edge list input")
-    head = lines[0].split()
     if len(head) != 2:
-        raise ValueError(f"header must be 'n m', got {lines[0]!r}")
+        raise ValueError(f"header must be 'n m', got {raw.strip()!r}")
     n, m = int(head[0]), int(head[1])
-    if len(lines) - 1 != m:
-        raise ValueError(f"header promises {m} edges, found {len(lines) - 1}")
-    return Graph(n, _edge_pairs(lines[1:]))
+    found, fault = 0, None
+    try:
+        g = Graph(n)
+        adj, verts = g._adj, list(range(n))
+        for raw in lines:
+            parts = raw.split()
+            if not parts:
+                continue
+            found += 1
+            if len(parts) != 2:
+                raise ValueError(f"edge line must be 'u v', got {raw.strip()!r}")
+            u, v = int(parts[0]), int(parts[1])
+            if 0 <= u < n and 0 <= v < n and u != v and v not in adj[u]:
+                u, v = verts[u], verts[v]
+                adj[u].add(v)
+                adj[v].add(u)
+            else:
+                g._add_all(((u, v),))
+    except ValueError as exc:
+        fault = exc
+    found += sum(1 for raw in lines if raw.split())
+    if found != m:
+        raise ValueError(f"header promises {m} edges, found {found}")
+    if fault is not None:
+        raise fault
+    return g

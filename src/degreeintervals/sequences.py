@@ -447,44 +447,57 @@ class PeelStep(NamedTuple):
     interval: Interval
 
 
+def _peel_order(g: Graph) -> Iterator[tuple]:
+    """The peel of `peel_trace` in plain integers: one (vertex, degree,
+    k, e) per step, where k and e are the live order and edge count the
+    step's interval is taken from.
+
+    The pick is the lowest live index whose degree lies in
+    [ceil(e/(k-1)), floor((2e + (k-2)(k-1)) / (2(k-1)))], the integer
+    thresholds of the half-order interval, or [0, 0] for the last vertex.
+    The graph is read, not copied, and left unchanged: a degree list is
+    kept, and a removal decrements every neighbour's entry (a removed
+    vertex's entry is never read again).  The live vertices are kept in
+    descending index order and scanned from the end, so the usual pick,
+    the lowest live index, is popped off the end without shifting the
+    rest; a pick deeper in the list costs a scan and a shift, O(n) per
+    step in the worst case."""
+    adj = g._adj
+    deg = g.degrees()
+    e = sum(deg) // 2
+    alive = list(range(g.n - 1, -1, -1))
+    for k in range(g.n, 0, -1):
+        if k > 1:
+            lo, hi = -(-e // (k - 1)), (2 * e + (k - 2) * (k - 1)) // (2 * (k - 1))
+        else:
+            lo = hi = 0
+        i = k - 1
+        while i >= 0 and not lo <= deg[alive[i]] <= hi:
+            i -= 1
+        if i < 0:
+            raise RuntimeError("no vertex degree in the guaranteed interval")
+        v = alive.pop(i)
+        d = deg[v]
+        yield v, d, k, e
+        e -= d
+        for u in adj[v]:
+            deg[u] -= 1
+
+
 def peel_trace(g: Graph) -> list:
     """Repeatedly remove the lowest-index vertex whose degree lies in the
     current half-order interval, until the graph is empty.
 
     Every step succeeds (the closed interval always contains a degree),
     so the trace has exactly g.n steps.  The final single vertex has
-    degree 0 and its interval degenerates to [0, 0].  Degrees are picked
-    on the integer thresholds of the interval, ceil(lo) and floor(hi).
-
-    The graph is read, not copied, and left unchanged: the trace keeps a
-    degree list, and a removal decrements every neighbour's entry.  A
-    removed vertex's entry is never read again, so only the live degrees
-    matter.  Each step's interval and thresholds come from the live order
-    and edge count alone (`bounds._half_order_bounds`).  The live vertices
-    are kept in descending index order and scanned from the end, so the
-    usual pick, the lowest live index, is popped off the end of the list
-    without shifting the rest.  A pick deeper in the list still costs a
-    scan and a shift, O(n) per step in the worst case.
+    degree 0 and its interval degenerates to [0, 0].  The steps come from
+    `_peel_order`, which picks on integer thresholds and reads the graph
+    in place; only here does each step's interval become two exact
+    Fractions (`bounds._half_order_bounds`).
     """
-    adj = g._adj
-    deg = g.degrees()
-    edges = sum(deg) // 2
-    alive = list(range(g.n - 1, -1, -1))
-    steps = []
-    while alive:
-        if len(alive) >= 2:
-            iv, lo, hi = _half_order_bounds(len(alive), edges)
-        else:
-            iv, lo, hi = Interval(Fraction(0), Fraction(0)), 0, 0
-        i = next((i for i in range(len(alive) - 1, -1, -1) if lo <= deg[alive[i]] <= hi), None)
-        if i is None:
-            raise RuntimeError("no vertex degree in the guaranteed interval")
-        pick = alive.pop(i)
-        steps.append(PeelStep(pick, deg[pick], iv))
-        edges -= deg[pick]
-        for u in adj[pick]:
-            deg[u] -= 1
-    return steps
+    return [PeelStep(v, d, _half_order_bounds(k, e)[0] if k > 1
+                     else Interval(Fraction(0), Fraction(0)))
+            for v, d, k, e in _peel_order(g)]
 
 
 def parse_sequence(text: str) -> DegreeSequence:

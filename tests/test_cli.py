@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,6 +13,8 @@ import pytest
 import degreeintervals
 from degreeintervals import DomainError, Graph, cli, format_edge_list, graphs, sequences
 from degreeintervals.cli import MAX_SWEEP_STEPS, main, read_sweep_csv, sweep_rows
+from test_graphs import random_graph
+from test_sequences import reference_peel_trace
 
 
 def run(capsys, *argv):
@@ -294,6 +297,41 @@ class TestPeel:
     def test_directory_is_an_argument_error(self, capsys, tmp_path):
         rc, _, err = run(capsys, "peel", str(tmp_path))
         assert rc == 2 and "error" in err
+
+    def test_output_matches_the_reference_trace(self, capsys, monkeypatch):
+        rng = random.Random(2904)
+        cases = [random_graph(n, p, rng, n // 5) for n in range(41) for p in (0.0, 0.2, 0.6, 1.0)]
+        cases.append(random_graph(400, 0.05, rng))
+        for g in cases:
+            lines = ["step vertex degree interval"]
+            lines += [f"{i} {v} {deg} {iv}"
+                      for i, (v, deg, iv) in enumerate(reference_peel_trace(g), 1)]
+            monkeypatch.setattr(sys, "stdin", io.StringIO(format_edge_list(g)))
+            rc, out, err = run(capsys, "peel", "-")
+            assert (rc, err) == (0, "") and out == "\n".join(lines) + "\n", g
+
+    @pytest.mark.parametrize("text", ["3 2\n0 1\n1 1\n", "3 3\n0 1\n", "3 1\n0 x\n",
+                                      "3 1\n0 1 2\n", "-1 0\n", "5\n", ""])
+    def test_parse_error_exits_two_with_empty_stdout(self, capsys, monkeypatch, text):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        rc, out, err = run(capsys, "peel", "-")
+        assert (rc, out) == (2, "") and err.startswith("error: ")
+
+    def test_memory_per_vertex(self, capsys, monkeypatch):
+        # Each line is written as its step is found, so no trace is kept:
+        # at 10^5 edgeless vertices the peak, the graph's empty sets and the
+        # captured output included, stays below 400 bytes per vertex.
+        n = 10 ** 5
+        monkeypatch.setattr(sys, "stdin", io.StringIO(f"{n} 0\n"))
+        tracemalloc.start()
+        try:
+            rc = main(["peel", "-"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = capsys.readouterr().out
+        assert rc == 0 and out.count("\n") == n + 1
+        assert peak <= 400 * n, peak / n
 
 
 class TestOpt:

@@ -247,3 +247,146 @@ class TestRowInsert:
                 by_pairs = Graph(n, shuffled)
                 assert by_rows.edges() == by_pairs.edges() == edges, (n, p)
                 assert by_rows.degrees() == by_pairs.degrees(), (n, p)
+
+
+def reference_parse_edge_list(text):
+    """The reader as it was before it read a chunk at a time: every
+    stripped, non-blank line in one list, the edge count checked against
+    that list, then the pairs fed to `Graph`.  Kept as the reference for
+    the graph read and for every error, its type, its text and which
+    fault is reported first."""
+    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    if not lines:
+        raise ValueError("empty edge list input")
+    head = lines[0].split()
+    if len(head) != 2:
+        raise ValueError(f"header must be 'n m', got {lines[0]!r}")
+    n, m = int(head[0]), int(head[1])
+    if len(lines) - 1 != m:
+        raise ValueError(f"header promises {m} edges, found {len(lines) - 1}")
+
+    def pairs():
+        for ln in lines[1:]:
+            parts = ln.split()
+            if len(parts) != 2:
+                raise ValueError(f"edge line must be 'u v', got {ln!r}")
+            yield int(parts[0]), int(parts[1])
+    return Graph(n, pairs())
+
+
+def read_outcome(parse, text):
+    """(n, edges) of the graph read, or (type, text) of the error raised."""
+    try:
+        g = parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return g.n, g.edges()
+
+
+def edge_text(n, edges, sep="\n", count=None):
+    lines = [f"{n} {len(edges) if count is None else count}"] + [f"{u} {v}" for u, v in edges]
+    return sep.join(lines) + sep
+
+
+SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+              "\u2028", "\u2029"]
+
+
+def reader_corpus():
+    """Edge-list texts, valid and faulty, on which the reader must act as
+    the reference does."""
+    (mark,) = TestInsertLoop.test_every_path_gives_the_same_error.pytestmark
+    for edges, _ in mark.args[1]:
+        yield edge_text(4, edges)
+    yield edge_text(0, [(0, 0)])
+    # the first bad line wins, malformed or an invalid edge
+    yield "3 2\n1 1\n0 1 2\n"
+    yield "3 2\n0 1 2\n1 1\n"
+    # a wrong edge count wins over a bad edge, a malformed line, a
+    # non-integer token and an order `Graph` refuses
+    yield "3 3\n0 1\n1 1\n"
+    yield "3 1\n0 1\n0 1\n"
+    yield "3 3\n0 1 2\n"
+    yield "3 2\n0 x\n"
+    yield "3 0\n0 5\n"
+    yield "-1 1\n"
+    yield "-1 0\n0 1\n"
+    # non-integer tokens with the right count
+    yield "3 1\nx 1\n"
+    yield "3 1\n0 1.5\n"
+    yield "3 1\n0 0x1\n"
+    # blank and whitespace-only lines, and every line separator
+    rng = random.Random(2901)
+    g = random_graph(9, 0.4, rng)
+    for sep in SEPARATORS:
+        yield edge_text(g.n, g.edges(), sep)
+        yield f"{sep} \t{sep}" + edge_text(g.n, g.edges(), f"  {sep}{sep}\t{sep}")
+    yield "".join(f"{u} {v}{rng.choice(SEPARATORS)}"
+                  for u, v in [(9, g.m)] + g.edges())
+    yield "5 2\r\n0 1\r\n\r\n\r\n1 2\r\n"
+    yield "5 2\n\r0 1\n\r1 2"
+    yield "5 1\n0 1\n1 2 3"
+    # bad headers, empty input, the empty graph and a negative order
+    yield "3\n"
+    yield "3\n0 1\n"
+    yield "3 2 1\n0 1\n"
+    yield "x 1\n0 1\n"
+    yield "3 y\n"
+    yield ""
+    yield " \n\t\r\n\x0c"
+    yield "0 0\n"
+    yield "-2 0\n"
+
+
+class TestReader:
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, graphs._CHUNK])
+    def test_corpus_matches_the_reference(self, chunk, monkeypatch):
+        # Small chunks put a boundary at every position of the corpus.
+        monkeypatch.setattr(graphs, "_CHUNK", chunk)
+        count = 0
+        for text in reader_corpus():
+            want = read_outcome(reference_parse_edge_list, text)
+            assert read_outcome(parse_edge_list, text) == want, text
+            count += 1
+        assert count > 40
+
+    def test_faults_keep_their_order(self):
+        # The count error, then the order, then the first bad line.
+        for text, msg in [("3 3\n0 1\n1 1\n", "header promises 3 edges, found 2"),
+                          ("-1 1\n", "header promises 1 edges, found 0"),
+                          ("-1 0\n", "order must be a non-negative integer, got -1"),
+                          ("3 2\n1 1\n0 1 2\n", "loop at vertex 1 not allowed"),
+                          ("3 1\nx 1\n", "invalid literal for int() with base 10: 'x'")]:
+            assert read_outcome(parse_edge_list, text)[1] == msg, text
+
+    def test_separators_across_the_real_chunk_boundary(self):
+        # Input longer than one chunk, shifted one character at a time so
+        # that a "\r\n" and a blank line each straddle the boundary.
+        rng = random.Random(2902)
+        g = random_graph(300, 0.2, rng)
+        body = "".join(f"{u} {v}\r\n" + ("\r\n \n" if i % 2 else "")
+                       for i, (u, v) in enumerate(g.edges()))
+        straddles = set()
+        for pad in range(24):
+            text = f"{g.n} {g.m}" + " " * pad + "\r\n" + body
+            assert len(text) > graphs._CHUNK
+            straddles.add(text[graphs._CHUNK - 1:graphs._CHUNK + 1])
+            want = read_outcome(reference_parse_edge_list, text)
+            assert read_outcome(parse_edge_list, text) == want == (g.n, g.edges()), pad
+        assert {"\r\n", "\n\r", "\n "} <= straddles
+
+    def test_order_above_the_vertex_limit(self, monkeypatch):
+        monkeypatch.setattr(graphs, "HARD_VERTEX_LIMIT", 4)
+        for text in ["4 1\n0 3\n", "5 0\n", "5 1\n0 1\n", "5 1\n", "5 0\n0 1\n"]:
+            want = read_outcome(reference_parse_edge_list, text)
+            assert read_outcome(parse_edge_list, text) == want, text
+        assert read_outcome(parse_edge_list, "5 1\n0 1\n") == (
+            DomainError, "5 vertices above the graph limit 4")
+
+    def test_read_graph_shares_one_int_per_vertex(self):
+        # int() makes a new object per token above 256; the reader takes
+        # both endpoints from one list of vertices instead.
+        g = random_graph(1000, 0.02, random.Random(2903))
+        h = parse_edge_list(format_edge_list(g))
+        assert h.edges() == g.edges()
+        assert len({id(x) for s in h._adj for x in s}) <= h.n
