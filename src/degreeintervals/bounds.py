@@ -5,6 +5,7 @@ degree dbar = n-1-d, two guarantees are computed here:
 
 * the half-order interval
       [d - (n-2)/(2(n-1)) * d,  d + (n-2)/(2(n-1)) * dbar]
+    = [m/(n-1),  m/(n-1) + (n-2)/2]
   of exact length (n-2)/2, which always contains some vertex degree; its
   boundary case is a split graph whose only degrees are the two
   endpoints (`extremal_profile`), and
@@ -15,10 +16,12 @@ degree dbar = n-1-d, two guarantees are computed here:
   the optimal value of a continuous relaxation (see `optim`).  Below the
   sqrt(d*n) threshold nothing nontrivial holds and the optimum is 0.
 
-Half-order quantities and the two edge-counting slack polynomials are
-evaluated in exact rational arithmetic.  Window values involve a square
-root and are floats with an exactly formed discriminant.  Where an
-interval end meets an integer degree, `half_order_thresholds` and
+The half-order ends are written once, in integers, by
+`_half_order_ratios`; `half_order_interval`, `half_order_thresholds`,
+`extremal_profile` and the peel read them.  The edge-counting slack
+polynomials are exact rationals.  Window values involve a square root
+and are floats with an exactly formed discriminant.  Where an interval
+end meets an integer degree, `half_order_thresholds` and
 `window_thresholds` decide it exactly, in integers.  The window domain
 0 < d < n-1, d < d_plus <= n-1 is decided in one place, `_window_ratios`,
 also in integers; every window function checks its arguments there.
@@ -80,36 +83,32 @@ def require_above_root(p: GraphParams, d_plus) -> Fraction:
     return disc
 
 
-def _half_order_bounds(n: int, m) -> tuple:
-    """The half-order interval of order n >= 2 and m edges, with its
-    integer thresholds ceil(lo) and floor(hi): lo = m/(n-1) and
-    hi = (2m + (n-2)(n-1)) / (2(n-1)), as exact Fractions."""
-    lo = Fraction(m, n - 1)
-    hi = Fraction(2 * m + (n - 2) * (n - 1), 2 * (n - 1))
-    return Interval(lo, hi), math.ceil(lo), math.floor(hi)
+def _half_order_ratios(n: int, u: int, v: int) -> tuple:
+    """The half-order interval of order n >= 2 and m = u/v edges, as one
+    unreduced integer ratio (lo, hi, den): lo/den = m/(n-1) and
+    hi/den = lo/den + (n-2)/2.  The one place that writes its ends."""
+    return 2 * u, 2 * u + (n - 2) * (n - 1) * v, 2 * (n - 1) * v
 
 
 def half_order_interval(p: GraphParams) -> Interval:
     """Closed interval of length (n-2)/2 around d guaranteed to contain a degree.
 
-    With c = (n-2)/(2(n-1)), d - c d = m/(n-1) and d + c dbar = m/(n-1) + (n-2)/2.
+    Its ends are the exact Fractions of `_half_order_ratios`.  With
+    c = (n-2)/(2(n-1)), d - c d = m/(n-1) and d + c dbar = m/(n-1) + (n-2)/2.
     """
-    return _half_order_bounds(p.n, p.m)[0]
+    lo, hi, den = _half_order_ratios(p.n, *p.m.as_integer_ratio())
+    return Interval(Fraction(lo, den), Fraction(hi, den))
 
 
 def half_order_thresholds(p: GraphParams) -> tuple:
     """Integer thresholds (lo, lo_strict, hi, hi_strict) of the half-order
     interval, with the meaning of `window_thresholds`.
 
-    Computed in integers, exact for any rational m: with m = u/v, the
-    endpoints are lo = u / ((n-1) v) and hi = (2u + (n-2)(n-1) v) / (2(n-1) v),
-    and the thresholds are ceil(lo), floor(lo)+1, floor(hi) and ceil(hi)-1
-    by floor division.  No Fraction or Interval is built."""
-    n = p.n
-    u, v = p.m.as_integer_ratio()
-    lo_den = (n - 1) * v
-    hi_num, hi_den = 2 * u + (n - 2) * lo_den, 2 * lo_den
-    return -(-u // lo_den), u // lo_den + 1, hi_num // hi_den, -(-hi_num // hi_den) - 1
+    Exact for any rational m: ceil(lo), floor(lo)+1, floor(hi) and
+    ceil(hi)-1, by floor division of the `_half_order_ratios` ends.  No
+    Fraction or Interval is built."""
+    lo, hi, den = _half_order_ratios(p.n, *p.m.as_integer_ratio())
+    return -(-lo // den), lo // den + 1, hi // den, -(-hi // den) - 1
 
 
 class ExtremalProfile(NamedTuple):
@@ -129,20 +128,17 @@ class ExtremalProfile(NamedTuple):
 
 
 def extremal_profile(p: GraphParams) -> ExtremalProfile:
-    """Sizes and endpoint degrees of the boundary split graph."""
+    """Sizes and endpoint degrees of the boundary split graph: the degrees
+    are the half-order ends, and size_plus = d n/(n-1) is twice the low end."""
     _require_nondegenerate(p)
-    size_plus = p.d * p.n / (p.n - 1)
-    size_minus = p.d_bar * p.n / (p.n - 1)
-    c = Fraction(p.n - 2, 2 * (p.n - 1))
+    lo, hi, den = _half_order_ratios(p.n, *p.m.as_integer_ratio())
+    size_plus = Fraction(2 * lo, den)
+    size_minus = p.n - size_plus
     realizable = all(
         s.denominator == 1 and s.numerator % 2 == 0 for s in (size_plus, size_minus))
-    return ExtremalProfile(
-        size_plus=size_plus,
-        size_minus=size_minus,
-        deg_plus=p.d + c * p.d_bar,
-        deg_minus=p.d - c * p.d,
-        realizable=realizable,
-    )
+    return ExtremalProfile(size_plus=size_plus, size_minus=size_minus,
+                           deg_plus=Fraction(hi, den), deg_minus=Fraction(lo, den),
+                           realizable=realizable)
 
 
 def d_minus_bound(p: GraphParams, d_plus) -> float:

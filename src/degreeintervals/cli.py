@@ -205,16 +205,12 @@ def _ratio(num: int, den: int) -> str:
 
 def _peel_lines(g):
     """The peel trace as text: a header, then "step vertex degree
-    interval" per step, the interval as `str(Interval)` would print it,
-    each line made as `sequences._peel_order` finds its step."""
+    interval" per step, each line made as `sequences._peel_order` finds
+    its step.  The interval is its ratio (lo, hi, den) printed as
+    `str(Interval)` would print the two Fractions."""
     yield "step vertex degree interval\n"
-    for i, (v, d, k, e) in enumerate(sequences._peel_order(g), 1):
-        if k > 1:
-            q = k - 1
-            iv = f"[{_ratio(e, q)}, {_ratio(2 * e + (k - 2) * q, 2 * q)}]"
-        else:
-            iv = "[0, 0]"
-        yield f"{i} {v} {d} {iv}\n"
+    for i, (v, d, lo, hi, den) in enumerate(sequences._peel_order(g), 1):
+        yield f"{i} {v} {d} [{_ratio(lo, den)}, {_ratio(hi, den)}]\n"
 
 
 def cmd_peel(args) -> int:

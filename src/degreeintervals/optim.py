@@ -282,6 +282,8 @@ def d_plus_test_grid(p: GraphParams, count: int = 12) -> list:
     by it exactly: that point minimizes the window length (value n/2), so
     grids used for length sweeps must contain it.
     """
+    if count < 1:
+        raise DomainError(f"count must be >= 1, got {count!r}")
     d = float(p.d)
     n = p.n
     vals = [d + i * (n - 1 - d) / count for i in range(1, count + 1)]

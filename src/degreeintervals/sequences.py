@@ -39,7 +39,7 @@ from itertools import accumulate
 from operator import add
 from typing import Iterator, NamedTuple, Optional
 
-from .bounds import (_half_order_bounds, extremal_profile, half_order_thresholds,
+from .bounds import (_half_order_ratios, extremal_profile, half_order_thresholds,
                      require_above_root, require_window_domain, window_thresholds)
 from .errors import DomainError, EnumerationLimitError, NotGraphicalError
 from .graphs import Graph, require_edge_count
@@ -54,7 +54,10 @@ def as_degree_sequence(degrees) -> DegreeSequence:
     """Non-increasing tuple of the given degrees; rejects non-integers."""
     seq = []
     for d in degrees:
-        v = int(d)
+        try:
+            v = int(d)
+        except (OverflowError, ValueError):  # inf, nan
+            v = None
         if v != d:
             raise DomainError(f"degree {d!r} is not an integer")
         if v < 0:
@@ -174,17 +177,23 @@ def _extend(d: list, alphabet: list, j: int, out: list, i: int, rem: int, lhs: i
             out.append(tuple(d))
 
 
+def _integer_edges(m) -> int:
+    # m as an int; the one check, for `_search` and `window_grid`.
+    if m != int(m):
+        raise DomainError(f"edge count {m!r} is not an integer")
+    return int(m)
+
+
 def _search(n: int, m: int, alphabet: list) -> list:
     """The graphical sequences of length n and sum 2m whose every degree
     lies in `alphabet` (descending), lexicographically decreasing.  The
-    one place that requires an integer m and enforces `HARD_ORDER_LIMIT`."""
-    if m != int(m):
-        raise DomainError(f"edge count {m!r} is not an integer")
+    one place that enforces `HARD_ORDER_LIMIT`."""
+    m = _integer_edges(m)
     if n > HARD_ORDER_LIMIT:
         raise EnumerationLimitError(
             f"order {n} above enumeration limit {HARD_ORDER_LIMIT}")
     out = []
-    _extend([0] * n, alphabet, 0, out, 0, 2 * int(m), 0)
+    _extend([0] * n, alphabet, 0, out, 0, 2 * m, 0)
     return out
 
 
@@ -387,10 +396,10 @@ def window_grid(n: int, m: int) -> list:
     """Exact one-decimal d_plus values k/10 strictly above sqrt(2m), up to n-1.
 
     The start index solves k^2 > 100 * 2m in integers, so the strictness
-    is exact even when sqrt(2m) is itself a tenth.
+    is exact even when sqrt(2m) is itself a tenth; m must be an integer.
     """
     require_window_domain(GraphParams(n, m), n - 1)  # n-1 must be a valid d_plus
-    k0 = math.isqrt(200 * m) + 1
+    k0 = math.isqrt(200 * _integer_edges(m)) + 1
     return [Fraction(k, 10) for k in range(k0, 10 * (n - 1) + 1)]
 
 
@@ -449,36 +458,33 @@ class PeelStep(NamedTuple):
 
 def _peel_order(g: Graph) -> Iterator[tuple]:
     """The peel of `peel_trace` in plain integers: one (vertex, degree,
-    k, e) per step, where k and e are the live order and edge count the
-    step's interval is taken from.
+    lo, hi, den) per step, its interval [lo/den, hi/den] being
+    `bounds._half_order_ratios(k, e, 1)` for k >= 2 live vertices and e
+    live edges, and (0, 0, 1) for the last vertex.
 
-    The pick is the lowest live index whose degree lies in
-    [ceil(e/(k-1)), floor((2e + (k-2)(k-1)) / (2(k-1)))], the integer
-    thresholds of the half-order interval, or [0, 0] for the last vertex.
-    The graph is read, not copied, and left unchanged: a degree list is
-    kept, and a removal decrements every neighbour's entry (a removed
-    vertex's entry is never read again).  The live vertices are kept in
-    descending index order and scanned from the end, so the usual pick,
-    the lowest live index, is popped off the end without shifting the
-    rest; a pick deeper in the list costs a scan and a shift, O(n) per
-    step in the worst case."""
+    The pick is the lowest live index with a degree in
+    [ceil(lo/den), floor(hi/den)].  The graph is read, not copied, and
+    left unchanged: a degree list is kept, and a removal decrements every
+    neighbour's entry (a removed vertex's entry is never read again).  The
+    live vertices are kept in descending index order and scanned from the
+    end, so the usual pick, the lowest live index, is popped off the end
+    without shifting the rest; a pick deeper in the list costs a scan and
+    a shift, O(n) per step in the worst case."""
     adj = g._adj
     deg = g.degrees()
     e = sum(deg) // 2
     alive = list(range(g.n - 1, -1, -1))
     for k in range(g.n, 0, -1):
-        if k > 1:
-            lo, hi = -(-e // (k - 1)), (2 * e + (k - 2) * (k - 1)) // (2 * (k - 1))
-        else:
-            lo = hi = 0
+        lo, hi, den = _half_order_ratios(k, e, 1) if k > 1 else (0, 0, 1)
+        low, high = -(-lo // den), hi // den
         i = k - 1
-        while i >= 0 and not lo <= deg[alive[i]] <= hi:
+        while i >= 0 and not low <= deg[alive[i]] <= high:
             i -= 1
         if i < 0:
             raise RuntimeError("no vertex degree in the guaranteed interval")
         v = alive.pop(i)
         d = deg[v]
-        yield v, d, k, e
+        yield v, d, lo, hi, den
         e -= d
         for u in adj[v]:
             deg[u] -= 1
@@ -492,12 +498,11 @@ def peel_trace(g: Graph) -> list:
     so the trace has exactly g.n steps.  The final single vertex has
     degree 0 and its interval degenerates to [0, 0].  The steps come from
     `_peel_order`, which picks on integer thresholds and reads the graph
-    in place; only here does each step's interval become two exact
-    Fractions (`bounds._half_order_bounds`).
+    in place; only here does each step's interval ratio become two exact
+    Fractions.
     """
-    return [PeelStep(v, d, _half_order_bounds(k, e)[0] if k > 1
-                     else Interval(Fraction(0), Fraction(0)))
-            for v, d, k, e in _peel_order(g)]
+    return [PeelStep(v, d, Interval(Fraction(lo, den), Fraction(hi, den)))
+            for v, d, lo, hi, den in _peel_order(g)]
 
 
 def parse_sequence(text: str) -> DegreeSequence:

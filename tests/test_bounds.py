@@ -69,7 +69,49 @@ class TestValueTypes:
             Interval(Fraction(1, 2), Fraction(1, 3))
 
 
+def reference_half_order(p):
+    """The half-order quantities of p, each from its own formula and not
+    from `bounds._half_order_ratios`: the interval as two Fractions, the
+    integer thresholds of `half_order_thresholds`, and, at non-degenerate
+    density, the `extremal_profile` fields in field order (None at d = 0
+    and d = n-1)."""
+    n, m, d, dbar = p.n, p.m, p.d, p.d_bar
+    interval = (Fraction(m, n - 1), Fraction(2 * m + (n - 2) * (n - 1), 2 * (n - 1)))
+    u, v = m.as_integer_ratio()
+    lo_den = (n - 1) * v
+    hi_num, hi_den = 2 * u + (n - 2) * lo_den, 2 * lo_den
+    thresholds = (-(-u // lo_den), u // lo_den + 1, hi_num // hi_den,
+                  -(-hi_num // hi_den) - 1)
+    if not 0 < d < n - 1:
+        return interval, thresholds, None
+    size_plus, size_minus = d * n / (n - 1), dbar * n / (n - 1)
+    c = Fraction(n - 2, 2 * (n - 1))
+    realizable = all(s.denominator == 1 and s.numerator % 2 == 0
+                     for s in (size_plus, size_minus))
+    return interval, thresholds, (size_plus, size_minus, d + c * dbar, d - c * d, realizable)
+
+
+def same_values_and_types(got, want):
+    return tuple(got) == tuple(want) and [type(x) for x in got] == [type(x) for x in want]
+
+
 class TestHalfOrderInterval:
+    def test_matches_the_reference_formulas(self):
+        # Every order up to 40 with m in sixths, both degenerate densities
+        # included: equal values of equal types, field by field.
+        for n in range(2, 41):
+            for j in range(3 * n * (n - 1) + 1):
+                p = GraphParams(n, Fraction(j, 6))
+                interval, thresholds, profile = reference_half_order(p)
+                iv = half_order_interval(p)
+                assert same_values_and_types((iv.lo, iv.hi), interval), p
+                assert same_values_and_types(half_order_thresholds(p), thresholds), p
+                if profile is None:
+                    with pytest.raises(DomainError, match="is degenerate"):
+                        extremal_profile(p)
+                else:
+                    assert same_values_and_types(extremal_profile(p), profile), p
+
     def test_known_intervals(self):
         iv = half_order_interval(GraphParams(4, 3))
         assert (iv.lo, iv.hi) == (Fraction(1), Fraction(2))

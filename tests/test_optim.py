@@ -435,6 +435,13 @@ class TestDPlusTestGrid:
             assert grid[-1] == n - 1 or max(grid) == n - 1
             assert (n + d) / 2 in grid
 
+    def test_refuses_count_below_one(self):
+        for count in (0, -3):
+            with pytest.raises(DomainError) as info:
+                d_plus_test_grid(GraphParams(10, 20), count)
+            assert str(info.value) == f"count must be >= 1, got {count}"
+        assert d_plus_test_grid(GraphParams(10, 20), 1) == [7.0]  # the midpoint (n+d)/2
+
 
 class TestOracleSummary:
     def test_quick_grid(self):

@@ -525,6 +525,16 @@ class TestVerifyWindow:
             # exact steps of one tenth
             assert all(dp == Fraction(round(dp * 10), 10) for dp in grid)
 
+    def test_grid_needs_an_integer_edge_count(self):
+        # The scans' own check and text, before the integer square root; an
+        # integral float or Fraction gives the grid of the integer.
+        for m, text in [(Fraction(3, 2), "edge count Fraction(3, 2) is not an integer"),
+                        (1.5, "edge count 1.5 is not an integer")]:
+            with pytest.raises(DomainError) as info:
+                window_grid(4, m)
+            assert str(info.value) == text
+        assert window_grid(4, 3.0) == window_grid(4, Fraction(3)) == window_grid(4, 3)
+
     @staticmethod
     def window_pieces(n):
         # The distinct (m, thresholds) of the order's grid cells, checking
@@ -819,3 +829,12 @@ class TestGraphAndFormats:
         assert as_degree_sequence([1, 3, 2]) == (3, 2, 1)
         with pytest.raises(DomainError):
             as_degree_sequence([1.5, 2])
+
+    def test_infinite_and_nan_degrees_are_not_integers(self):
+        # The same DomainError as any other non-integer degree, from every
+        # function that takes a sequence.
+        for d in (float("inf"), float("-inf"), float("nan")):
+            for call in (as_degree_sequence, is_graphical, realize):
+                with pytest.raises(DomainError) as info:
+                    call([2, d, 1])
+                assert str(info.value) == f"degree {d!r} is not an integer"
