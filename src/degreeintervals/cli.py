@@ -165,10 +165,11 @@ def cmd_verify(args) -> int:
     if not 2 <= args.nmax <= limit:
         raise DomainError(f"nmax {args.nmax} outside [2, {limit}], the library limit")
     half_order = args.mode == "t1"
-    summarize = sequences.half_order_summary if half_order else sequences.window_summary
+    orders = range(2, args.nmax + 1)
+    summaries = (sequences.half_order_summaries(args.nmax) if half_order
+                 else map(sequences.window_summary, orders))
     rows = []
-    for n in range(2, args.nmax + 1):
-        s = summarize(n)
+    for n, s in zip(orders, summaries):
         rows.append(s)
         if half_order:
             print(f"n={n}: {s.sequences} sequences, {s.violations} violations, "

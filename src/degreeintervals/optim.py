@@ -280,10 +280,15 @@ def d_plus_test_grid(p: GraphParams, count: int = 12) -> list:
 
     Uniform spacing, except that the value nearest to (n+d)/2 is replaced
     by it exactly: that point minimizes the window length (value n/2), so
-    grids used for length sweeps must contain it.
+    grids used for length sweeps must contain it.  A `count` that is not
+    an int >= 1 is refused, and so is d = n-1, where (d, n-1] is empty.
     """
+    if not isinstance(count, int):
+        raise DomainError(f"count must be an integer, got {count!r}")
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count!r}")
+    if not p.d < p.n - 1:
+        raise DomainError(f"(d, n-1] = ({p.d}, {p.n - 1}] is empty")
     d = float(p.d)
     n = p.n
     vals = [d + i * (n - 1 - d) / count for i in range(1, count + 1)]

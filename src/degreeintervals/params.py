@@ -61,7 +61,10 @@ class GraphParams(_Value):
     def __init__(self, n: int, m):
         if not isinstance(n, int) or n < 2:
             raise DomainError(f"order must be an integer >= 2, got {n!r}")
-        m = Fraction(m)
+        try:
+            m = Fraction(m)
+        except (OverflowError, ValueError):  # inf, nan
+            raise DomainError(f"edge count {m!r} is not a finite number") from None
         max_edges = n * (n - 1) // 2
         # 0 <= m <= max_edges, in integers (the denominator is positive).
         if not 0 <= m.numerator <= max_edges * m.denominator:

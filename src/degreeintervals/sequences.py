@@ -22,10 +22,11 @@ thresholds are step functions of d_plus, so grid cells in one window
 piece share a band, searched once.  A half-order cell's thresholds are
 computed in integers (`half_order_thresholds`), and its two-endpoint
 profile is built only when the cell has extremal sequences to compare
-with it.  Each order's sequences are counted once, by a Durfee-square
-recurrence stepped with suffix sums (`_graphical_counts`).  Full
-enumeration (`enumerate_graphical`) over the alphabet 0..n-1 is kept as
-the tests' oracle.
+with it.  The sequences of every order of a scan are counted once, in
+one Durfee-square recurrence at the scan's largest order that keeps
+totals only (`_graphical_totals`).  Full enumeration
+(`enumerate_graphical`) over the alphabet 0..n-1 is kept as the tests'
+oracle.
 
 Wire formats shared with the command line: a degree sequence is one line
 of comma-separated integers; graphs use the edge-list format of
@@ -211,8 +212,9 @@ def enumerate_graphical(n: int, m: int) -> Iterator[DegreeSequence]:
     each complete survivor still passes the full `_eg_ok`.  Over the
     cells 0 < m < 55 of n = 11 that check sees 72,674 leaves, where
     filtering every bounded partition saw 176,482.  The scans do not
-    call it: they search band-avoiding alphabets, and `half_order_summary`
-    counts each order by `_graphical_counts`; it is their test oracle."""
+    call it: they search band-avoiding alphabets, and
+    `half_order_summaries` counts every order by `_graphical_totals`; it
+    is their test oracle."""
     GraphParams(n, m)  # validates the order and the edge count
     yield from _search(n, m, list(range(n - 1, -1, -1)))
 
@@ -224,45 +226,59 @@ def graphical_sequences(n: int, m: int) -> tuple:
     return tuple(enumerate_graphical(n, m))
 
 
-def _graphical_counts(n: int) -> tuple:
-    """Number of graphical sequences of length n with m edges, indexed by
-    m = 0..C(n,2); built without listing them.
+def _graphical_totals(order: int) -> tuple:
+    """Number of graphical sequences of each length n = 0..order, any edge
+    count, from one recurrence at the given order; none is listed.
 
     A non-zero sequence is a partition whose Ferrers diagram splits into
     its Durfee square h x h (h the largest k with d_k >= k), an arm
     a_i = d_i - h and a leg b_i = d*_i - h for i <= h (d* the conjugate),
-    both non-increasing and otherwise free.  It fits in n entries iff
-    h + b_1 <= n, its degree sum is h^2 + sum(a) + sum(b), and by Berge's
-    form of Erdos-Gallai it is graphical iff that sum is even and
-    sum_{i<=k} (b_i - a_i) >= k for every k <= h.  For each h a recurrence
-    over k carries the states (a_k, b_k, slack), slack being that prefix
-    sum minus k, capped at (h-k)(a_k+1) since no later step can lose
-    more; each state holds the generating polynomial of the running
-    sum(a) + sum(b).  A polynomial is one int with a 2n-bit field per
-    power: a coefficient counts prefixes (a_1..a_k, b_1..b_k) with entries
-    at most n-h, fewer than C(n, k)^2 < 4^n, so fields never carry.
+    both non-increasing and otherwise free.  It has h + b_1 non-zero
+    entries, so it fits in n entries iff h + b_1 <= n; its degree sum is
+    h^2 + sum(a) + sum(b), and by Berge's form of Erdos-Gallai it is
+    graphical iff that sum is even and sum_{i<=k} (b_i - a_i) >= k for
+    every k <= h.  The k = 1 inequality, b_1 > a_1, already gives
+    d_1 <= n-1.  So one recurrence at the given order counts every
+    shorter length too: each count is kept per b_1, and length n sums
+    those with h + b_1 <= n.
+
+    For each h a recurrence over k carries the states (a_k, b_k, slack),
+    slack being that prefix sum minus k, capped at (h-k)(a_k+1) since no
+    later step can lose more.  Only the parity of the running
+    sum(a) + sum(b) matters, so a state holds, per b_1, two counts, of the
+    prefixes with an even and with an odd running sum.  They are fields of
+    one int, 2*order bits each, the field of (b_1, parity) at position
+    2*b_1 + parity.  A field counts distinct prefixes (a_1..a_k, b_1..b_k)
+    with entries at most order-h, fewer than C(order, k)^2 < 4^order, so
+    fields never carry.  The first step puts each prefix in its b_1's
+    field; a later step by an odd a2 + b2 swaps every even field with the
+    odd one above it, through two masks.  At the end, a sequence is
+    graphical iff the parity of the running sum is that of h^2.
 
     A state (a, b, slack) steps to every (a2 <= a, b2 <= b), and the new
     key depends on slack, a2 and b2 alone.  So each step groups the states
-    by slack, takes 2-D suffix sums of their polynomials over (a, b), and
-    emits each (a2, b2) once per slack (suffix sums after Kai Wang,
-    "Efficient counting of degree sequences", Discrete Mathematics, 2019).
-    Each new key's sum is then multiplied by x^(a2+b2) once, a shift by
-    2n(a2+b2) bits.  Moving every state to every (a2, b2) one at a time
-    took about seven times as long at n = 16.
+    by slack, takes 2-D suffix sums of their counts over (a, b), and emits
+    each (a2, b2) once per slack (suffix sums after Kai Wang, "Efficient
+    counting of degree sequences", Discrete Mathematics, 2019).  On a
+    2-vCPU VM with Python 3.11, this one pass at order 11 took 2.9 ms,
+    where counting the orders 2..11 one at a time, with a degree-sum
+    polynomial per state, took 7.1 ms.
     """
-    width = 2 * n
-    total = 1  # the zero sequence
-    for h in range(1, n):
-        grids = {0: {(n - h, n - h): 1}}  # step 0: a_1, b_1 <= n-h (n entries)
+    width = 2 * order
+    mask = (1 << width) - 1
+    even = sum(mask << 2 * width * j for j in range(order))  # b_1 < order
+    odd = even << width
+    by_length = [1] + [0] * order  # the zero sequence, at every length
+    for h in range(1, order):
+        grids = {0: {(order - h, order - h): 1}}  # a_1, b_1 <= order-h
         for k in range(h):
             later = h - k - 1
             nxt = {}
             for slack, grid in grids.items():
                 top_b = max(b for _, b in grid)
                 rows = [[0] * (top_b + 1) for _ in range(max(a for a, _ in grid) + 1)]
-                for (a, b), poly in grid.items():
-                    rows[a][b] = poly
+                for (a, b), counts in grid.items():
+                    rows[a][b] = counts
                 below = [0] * (top_b + 1)
                 for a2 in range(len(rows) - 1, -1, -1):
                     # below[b2] becomes the sum over a >= a2 and b >= b2.
@@ -275,11 +291,16 @@ def _graphical_counts(n: int) -> tuple:
                         key = (a2, b2, s2 if s2 < cap else cap)
                         nxt[key] = nxt.get(key, 0) + below[b2]
             grids = {}
-            for (a2, b2, slack), poly in nxt.items():
-                grids.setdefault(slack, {})[a2, b2] = poly << width * (a2 + b2)
-        total += sum(grids[0].values()) << width * h * h  # the last step caps slack at 0
-    mask = (1 << width) - 1
-    return tuple((total >> width * 2 * m) & mask for m in range(n * (n - 1) // 2 + 1))
+            for (a2, b2, slack), counts in nxt.items():
+                if not k:  # counts is 1: a first step sets b_1
+                    counts <<= width * (2 * b2 + ((a2 + b2) & 1))
+                elif (a2 + b2) & 1:
+                    counts = (counts & even) << width | (counts & odd) >> width
+                grids.setdefault(slack, {})[a2, b2] = counts
+        final = sum(grids[0].values()) >> width * (h & 1)  # the last step caps slack at 0
+        for b1 in range(1, order - h + 1):
+            by_length[h + b1] += final >> 2 * width * b1 & mask
+    return tuple(accumulate(by_length))
 
 
 @functools.lru_cache(maxsize=1)
@@ -308,7 +329,8 @@ class VerificationReport(NamedTuple):
     The scan covers every graphical sequence of the cell without visiting
     them: it searches only the degrees that avoid the band, and every
     sequence not found there has a degree inside it.  Their number is
-    `_graphical_counts(n)[m]`, counted per order, not per report.
+    not counted per report: `half_order_summaries` counts each order's
+    total, over every edge count, by `_graphical_totals`.
     """
 
     params: GraphParams
@@ -406,8 +428,8 @@ def window_grid(n: int, m: int) -> list:
 class OrderSummary(NamedTuple):
     """Totals of one exhaustive scan over every 0 < m < n(n-1)/2 of an
     order, or, from `total`, of several orders.  `sequences`, the order's
-    graphical sequences, is set by `half_order_summary`; window summaries
-    leave it 0."""
+    graphical sequences, is set by `half_order_summaries` from one count
+    of every order of the scan; window summaries leave it 0."""
 
     cells: int
     sequences: int
@@ -429,10 +451,16 @@ def _summarize(reports) -> OrderSummary:
          len(r.profile_mismatches), r.bound_ok is False) for r in reports)
 
 
-def half_order_summary(n: int) -> OrderSummary:
-    """`verify_half_order` at order n, totalled over every edge count."""
-    s = _summarize(verify_half_order(n, m) for m in range(1, n * (n - 1) // 2))
-    return s._replace(sequences=sum(_graphical_counts(n)[1:-1]))
+def half_order_summaries(nmax: int) -> Iterator[OrderSummary]:
+    """`verify_half_order` at each order n = 2..nmax, totalled over every
+    edge count.  The sequences of all these orders are counted in one
+    pass, `_graphical_totals(nmax)`; each order's total less its two
+    degenerate cells (m = 0 and m = C(n,2), one sequence each) is its
+    row's `sequences`."""
+    totals = _graphical_totals(nmax)
+    for n in range(2, nmax + 1):
+        s = _summarize(verify_half_order(n, m) for m in range(1, n * (n - 1) // 2))
+        yield s._replace(sequences=totals[n] - 2)
 
 
 def window_summary(n: int) -> OrderSummary:

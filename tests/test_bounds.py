@@ -68,6 +68,16 @@ class TestValueTypes:
         with pytest.raises(DomainError, match=r"^empty interval: lo=1/2 > hi=1/3$"):
             Interval(Fraction(1, 2), Fraction(1, 3))
 
+    def test_non_finite_edge_count(self):
+        # inf and nan have no integer ratio; every entry taking (n, m)
+        # reaches GraphParams, so each refuses them with a DomainError.
+        for m in (math.inf, -math.inf, math.nan, Decimal("Infinity"), Decimal("NaN")):
+            with pytest.raises(DomainError) as info:
+                GraphParams(4, m)
+            assert str(info.value) == f"edge count {m!r} is not a finite number"
+        with pytest.raises(DomainError, match="^edge count inf is not a finite number$"):
+            window_grid(4, math.inf)
+
 
 def reference_half_order(p):
     """The half-order quantities of p, each from its own formula and not

@@ -143,6 +143,22 @@ class TestVerify:
         assert rc == 0
         assert "0 violations" in out
 
+    def test_half_order_mode_counts_once(self, capsys, monkeypatch):
+        # Every order's sequence total comes from one count at nmax; t2
+        # counts nothing.
+        totals = sequences._graphical_totals
+        calls = []
+
+        def counted(order):
+            calls.append(order)
+            return totals(order)
+        monkeypatch.setattr(sequences, "_graphical_totals", counted)
+        rc, out, _ = run(capsys, "verify", "--mode", "t1", "--nmax", "9")
+        assert rc == 0 and calls == [9]
+        assert out.splitlines()[-2].startswith("n=9: 4359 sequences, 0 violations")
+        rc, _, _ = run(capsys, "verify", "--mode", "t2", "--nmax", "6")
+        assert rc == 0 and calls == [9]
+
     def test_window_mode(self, capsys):
         rc, out, _ = run(capsys, "verify", "--mode", "t2", "--nmax", "5")
         assert rc == 0

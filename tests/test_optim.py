@@ -101,7 +101,11 @@ def oracle_cases():
     """The cells on which `solve_grid` must equal `dense_solve_grid`."""
     for p in reference_cells(sizes=(10, 20, 37)):
         for count in (7, 12):
-            for dp in d_plus_test_grid(p, count):
+            # d/n = 9/10 at n = 10 is d = n-1, where (d, n-1] is empty and
+            # d_plus_test_grid refuses; d_plus = n-1 = d stays as a case
+            # (a domain error), `count` times, as the grid gave it before.
+            grid = d_plus_test_grid(p, count) if p.d < p.n - 1 else [float(p.n - 1)] * count
+            for dp in grid:
                 yield p, dp
     for n in range(2, 8):
         for m in range(1, n * (n - 1) // 2):
@@ -441,6 +445,16 @@ class TestDPlusTestGrid:
                 d_plus_test_grid(GraphParams(10, 20), count)
             assert str(info.value) == f"count must be >= 1, got {count}"
         assert d_plus_test_grid(GraphParams(10, 20), 1) == [7.0]  # the midpoint (n+d)/2
+
+    def test_refuses_non_integer_count_and_empty_span(self):
+        for count in (2.5, 3.0, Fraction(3), "3"):
+            with pytest.raises(DomainError) as info:
+                d_plus_test_grid(GraphParams(10, 20), count)
+            assert str(info.value) == f"count must be an integer, got {count!r}"
+        # At d = n-1 the span (d, n-1] is empty; just below it is not.
+        with pytest.raises(DomainError, match=r"^\(d, n-1\] = \(3, 3\] is empty$"):
+            d_plus_test_grid(GraphParams(4, 6), 3)
+        assert all(5 < dp <= 6 for dp in d_plus_test_grid(GraphParams(7, 20), 3))
 
 
 class TestOracleSummary:

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from operator import add
 
 import numpy as np
 import pytest
@@ -227,25 +228,26 @@ class TestEnumeration:
 
     def test_scans_never_enumerate(self, monkeypatch):
         # Both verifiers and empirical_d_minus search band-avoiding alphabets;
-        # full enumeration is only the tests' oracle.  Only half_order_summary
-        # counts, once per order; the window scans never count.
+        # full enumeration is only the tests' oracle.  Only the t1 scan
+        # counts, once for all its orders; the window scans never count.
         def stub(n, m):
             raise AssertionError(f"enumerate_graphical({n}, {m}) called")
         monkeypatch.setattr(sequences, "enumerate_graphical", stub)
         monkeypatch.setattr(sequences, "graphical_sequences", stub)
-        counts = sequences._graphical_counts
+        totals = sequences._graphical_totals
         calls = []
 
-        def counted(n):
-            calls.append(n)
-            return counts(n)
-        monkeypatch.setattr(sequences, "_graphical_counts", counted)
-        assert sequences.half_order_summary(9).sequences == 4359
+        def counted(order):
+            calls.append(order)
+            return totals(order)
+        monkeypatch.setattr(sequences, "_graphical_totals", counted)
+        rows = list(sequences.half_order_summaries(9))
+        assert [r.sequences for r in rows] == [0, 2, 9, 29, 100, 340, 1211, 4359]
         assert calls == [9]
 
-        def no_count(n):
-            raise AssertionError(f"_graphical_counts({n}) called")
-        monkeypatch.setattr(sequences, "_graphical_counts", no_count)
+        def no_count(order):
+            raise AssertionError(f"_graphical_totals({order}) called")
+        monkeypatch.setattr(sequences, "_graphical_totals", no_count)
         summary = sequences.window_summary(7)
         assert summary.bound_failures == 0 and summary.sequences == 0
         assert verify_window(9, 18, Fraction(7)).bound_ok
@@ -292,8 +294,50 @@ class TestEnumeration:
             list(enumerate_graphical(4, 7))
 
 
+def graphical_counts(n):
+    """Number of graphical sequences of length n with m edges, indexed by
+    m = 0..C(n,2); the library's counter before it kept totals only.
+
+    The Durfee-square recurrence of `sequences._graphical_totals` at one
+    order, each state holding the generating polynomial of the running
+    sum(a) + sum(b): one int with a 2n-bit field per power, whose
+    coefficients count fewer than C(n, k)^2 < 4^n prefixes, so fields
+    never carry.  Each new key's suffix sum is multiplied by x^(a2+b2)
+    once, a shift by 2n(a2+b2) bits.  Kept as a second reference for the
+    totals, and as the per-edge-count reference for enumeration."""
+    width = 2 * n
+    total = 1  # the zero sequence
+    for h in range(1, n):
+        grids = {0: {(n - h, n - h): 1}}  # step 0: a_1, b_1 <= n-h (n entries)
+        for k in range(h):
+            later = h - k - 1
+            nxt = {}
+            for slack, grid in grids.items():
+                top_b = max(b for _, b in grid)
+                rows = [[0] * (top_b + 1) for _ in range(max(a for a, _ in grid) + 1)]
+                for (a, b), poly in grid.items():
+                    rows[a][b] = poly
+                below = [0] * (top_b + 1)
+                for a2 in range(len(rows) - 1, -1, -1):
+                    # below[b2] becomes the sum over a >= a2 and b >= b2.
+                    below = list(map(add, itertools.accumulate(reversed(rows[a2])), reversed(below)))
+                    below.reverse()
+                    cap = later * (a2 + 1)
+                    base = slack - a2 - 1
+                    for b2 in range(max(0, -base), top_b + 1):
+                        s2 = base + b2
+                        key = (a2, b2, s2 if s2 < cap else cap)
+                        nxt[key] = nxt.get(key, 0) + below[b2]
+            grids = {}
+            for (a2, b2, slack), poly in nxt.items():
+                grids.setdefault(slack, {})[a2, b2] = poly << width * (a2 + b2)
+        total += sum(grids[0].values()) << width * h * h  # the last step caps slack at 0
+    mask = (1 << width) - 1
+    return tuple((total >> width * 2 * m) & mask for m in range(n * (n - 1) // 2 + 1))
+
+
 def reference_graphical_counts(n):
-    """`_graphical_counts` as it was before it took suffix sums: the same
+    """`graphical_counts` as it was before it took suffix sums: the same
     Durfee-square recurrence and packed polynomials, with every state
     (a, b, slack) moved to every (a2 <= a, b2 <= b) one at a time and
     each move shifted on its own.  Kept as the reference for every count."""
@@ -318,7 +362,7 @@ def reference_graphical_counts(n):
 class TestCounting:
     def test_counts_match_enumeration(self):
         for n in range(2, 12):
-            counts = sequences._graphical_counts(n)
+            counts = graphical_counts(n)
             assert len(counts) == n * (n - 1) // 2 + 1
             for m, count in enumerate(counts):
                 assert count == len(list(enumerate_graphical(n, m))), (n, m)
@@ -326,18 +370,28 @@ class TestCounting:
     def test_counts_match_the_reference_recurrence(self):
         # Every edge count, past the enumeration limit too.
         for n in range(2, 17):
-            assert sequences._graphical_counts(n) == reference_graphical_counts(n), n
+            assert graphical_counts(n) == reference_graphical_counts(n), n
+
+    def test_totals_of_every_order_match_the_per_edge_counts(self):
+        # One pass at each order N counts every shorter length n too.
+        per_order = {n: sum(graphical_counts(n)) for n in range(2, 17)}
+        for order in range(2, 17):
+            totals = sequences._graphical_totals(order)
+            assert len(totals) == order + 1
+            assert totals[:2] == (1, 1)  # the empty sequence, and (0,)
+            assert all(totals[n] == per_order[n] for n in range(2, order + 1)), order
 
     def test_counts_beyond_the_limit_match_oeis_a004251(self):
         # The count builds no sequence, so it runs past HARD_ORDER_LIMIT.
-        assert [sum(sequences._graphical_counts(n)) for n in (13, 14, 15, 16)] == \
-            [836315, 3166852, 12042620, 45967479]
+        a004251 = [836315, 3166852, 12042620, 45967479]
+        assert list(sequences._graphical_totals(16)[13:]) == a004251
+        assert [sum(graphical_counts(n)) for n in (13, 14, 15, 16)] == a004251
 
     def test_total_through_order_20(self):
         # A004251 summed over n = 2..20, less the two degenerate cells
         # (m = 0 and m = C(n,2)) per order: the t1 total at nmax 20.
-        total = sum(sum(sequences._graphical_counts(n)) - 2 for n in range(2, 21))
-        assert total == 13_544_587_260
+        totals = sequences._graphical_totals(20)
+        assert sum(totals[n] - 2 for n in range(2, 21)) == 13_544_587_260
 
 
 class TestAlphabetSearch:
@@ -417,7 +471,7 @@ class TestVerifyHalfOrder:
         assert rep.violations == []
         # every sequence here avoids the open interval (1, 2): it holds no integer
         assert rep.extremal_sequences == [(3, 1, 1, 1), (2, 2, 2, 0), (2, 2, 1, 1)]
-        assert sequences._graphical_counts(4)[3] == 3
+        assert graphical_counts(4)[3] == 3
         # the star and its complement avoid the open interval yet are not
         # the two-endpoint profile; only sequences confined to the closed
         # interval must match it
@@ -475,9 +529,10 @@ class TestVerifyHalfOrder:
             calls.append((p.n, p.m))
             return profile(p)
         monkeypatch.setattr(sequences, "_profile_sequence", counted)
+        rows = sequences.half_order_summaries(9)
         for n in range(2, 10):
             calls.clear()
-            sequences.half_order_summary(n)
+            next(rows)  # the row of order n
             summary_calls = list(calls)
             expected = [(n, m) for m in range(1, n * (n - 1) // 2)
                         if verify_half_order(n, m).extremal_sequences]
@@ -649,6 +704,7 @@ class TestBandScanAgainstReference:
     def test_half_order_cells(self):
         _, lo_strict, _, hi_strict = half_order_thresholds(GraphParams(2, 1))
         assert lo_strict > hi_strict  # n = 2: the strict band is empty
+        rows = list(sequences.half_order_summaries(8))
         for n in range(2, 9):
             total = 0
             for m in range(0, n * (n - 1) // 2 + 1):
@@ -658,7 +714,7 @@ class TestBandScanAgainstReference:
                 assert rep.violations == violations, (n, m)
                 assert rep.extremal_sequences == extremal, (n, m)
                 total += count if 0 < m < n * (n - 1) // 2 else 0
-            assert sequences.half_order_summary(n).sequences == total, n
+            assert rows[n - 2].sequences == total, n
 
     def test_window_cells(self):
         for n in range(3, 9):
