@@ -55,7 +55,10 @@ def sweep_rows(density: float, steps: int) -> list:
 
     Samples start just above sqrt(d/n) (rounded up to 4 decimals, so e.g.
     0.7072 for d/n = 0.5) and run uniformly to 1; the length minimizer
-    (1 + d/n)/2, where the curve equals 1/2, is always included.
+    (1 + d/n)/2, where the curve equals 1/2, is always included.  A d/n
+    whose square root rounds up to 1 at 4 decimals (from 0.99980001) is
+    refused: no sample would lie below 1, and above about 1 - 2.6e-8 the
+    minimizer can fall outside the curve's float domain.
     """
     z0 = float(density)
     if not 0.0 < z0 < 1.0:
@@ -63,6 +66,8 @@ def sweep_rows(density: float, steps: int) -> list:
     if not 2 <= steps <= MAX_SWEEP_STEPS:
         raise DomainError(f"steps must lie in [2, {MAX_SWEEP_STEPS}], got {steps}")
     start = (math.floor(math.sqrt(z0) * 10 ** 4) + 1) / 10 ** 4
+    if start >= 1.0:
+        raise DomainError(f"d/n = {z0} too close to 1: sqrt(d/n) rounds up to 1 at 4 decimals")
     # The last sample can round to 1 + 2^-52, past the domain's end at 1.
     xs = [min(start + i * (1.0 - start) / (steps - 1), 1.0) for i in range(steps)]
     xs.append((1.0 + z0) / 2.0)

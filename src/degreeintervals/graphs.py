@@ -17,9 +17,9 @@ Edges go in through one of two shapes.  `Graph._add_all` takes (u, v)
 pairs and checks each one as it inserts it; it is the loop behind
 `Graph(n, edges)` and `add_edge`.  `Graph._add_rows` takes rows (u, vs),
 a vertex and all its new neighbours, and checks a whole row at once with
-set operations; the constructions and `realize` use it.  A row that
-fails a check is handed to `_add_all` edge by edge, and so is an edge
-line that fails the reader's own checks, so every error message, and
+set operations; the constructions, `realize` and `complement` use it.  A
+row that fails a check is handed to `_add_all` edge by edge, and so is an
+edge line that fails the reader's own checks, so every error message, and
 which bad edge is reported first, comes from that one loop.
 
 A row insert shares one int object per vertex: each call makes the list
@@ -163,9 +163,20 @@ class Graph:
         return GraphParams(self.n, self.m)
 
     def complement(self) -> "Graph":
+        """The graph of the non-edges.  Each vertex's non-neighbours above it
+        go in as runs, each a range between two of its neighbours, which
+        `_add_rows` slices from its one vertex list."""
         n, adj = self.n, self._adj
+
+        def runs():
+            for u in range(n):
+                start = u + 1
+                for v in sorted(v for v in adj[u] if v > u):
+                    yield u, range(start, v)
+                    start = v + 1
+                yield u, range(start, n)
         g = Graph(n)
-        g._add_rows((u, [v for v in range(u + 1, n) if v not in adj[u]]) for u in range(n))
+        g._add_rows(runs())
         return g
 
     @classmethod

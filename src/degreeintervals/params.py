@@ -75,7 +75,11 @@ class GraphParams(_Value):
     @classmethod
     def from_density(cls, n: int, d) -> "GraphParams":
         """Params with average degree exactly d (pass a Fraction for exactness)."""
-        return cls(n, Fraction(d) * n / 2)
+        try:
+            d = Fraction(d)
+        except (OverflowError, ValueError):  # inf, nan
+            raise DomainError(f"average degree {d!r} is not a finite number") from None
+        return cls(n, d * n / 2)
 
     @property
     def d(self) -> Fraction:

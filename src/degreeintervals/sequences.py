@@ -3,30 +3,32 @@
 The interval guarantees constrain vertex degrees only, so exhaustive
 verification runs over graphical degree sequences instead of labeled
 graphs (16016 graphical sequences of length 10, versus 2^45 labeled
-graphs).  Sequences are plain non-increasing tuples of ints, generated
-depth first as bounded partitions of the degree sum over a descending
-alphabet of allowed degrees; a prefix is cut as soon as its own
-Erdos-Gallai inequality cannot hold, and each complete candidate is kept
-when it passes all of them (at n = 11, 72,674 candidates instead of the
-176,482 bounded partitions).
+graphs).  Sequences are plain non-increasing tuples of ints.
 
-Both guarantees only ask whether some degree falls in an integer band,
-so the scans never list every sequence.  A violation has every degree
-outside the closed band and an extremal sequence every degree outside
-the strict one, so each is searched over that band's complement
-(`_band_sets`), and a window cell is decided by that search alone.  The
-exact window optimum is found only by `empirical_d_minus`: read off the
-extremal sequences, or, when there are none, off the first non-empty
-listing over alphabets that widen one degree at a time.  The window
-thresholds are step functions of d_plus, so grid cells in one window
-piece share a band, searched once.  A half-order cell's thresholds are
-computed in integers (`half_order_thresholds`), and its two-endpoint
-profile is built only when the cell has extremal sequences to compare
-with it.  The sequences of every order of a scan are counted once, in
-one Durfee-square recurrence at the scan's largest order that keeps
-totals only (`_graphical_totals`).  Full enumeration
-(`enumerate_graphical`) over the alphabet 0..n-1 is kept as the tests'
-oracle.
+Both guarantees only ask whether some graphical sequence avoids an
+integer band [a, b], so the scans speak in bands, and never list every
+sequence.  `_search(n, m, a, b)` lists the sequences of one cell with no
+degree in the band (every one when a > b), generated depth first as
+bounded partitions of the degree sum over the degrees outside it; a
+prefix is cut as soon as its own Erdos-Gallai inequality cannot hold, and
+each complete candidate is kept when it passes all of them (at n = 11,
+72,674 candidates instead of the 176,482 bounded partitions).  A
+violation has every degree outside the closed band and an extremal
+sequence every degree outside the strict one, so both come from one
+search of the strict band (`_band_sets`), and a window cell is decided
+by that search alone.  The exact window optimum is found only by
+`empirical_d_minus`: the first non-empty listing over the bands
+[L+1, hi_strict], L rising from lo_strict-1.  The window thresholds are
+step functions of d_plus, so grid cells in one window piece share a
+band, searched once.  A half-order cell's thresholds are computed in
+integers (`half_order_thresholds`), and its two-endpoint profile is built
+only when the cell has extremal sequences to compare with it.  The
+sequences of every order of a scan are counted once, in one
+Durfee-square recurrence at the scan's largest order that keeps totals
+only (`_graphical_totals`).  Full enumeration (`enumerate_graphical`) is
+the search of the empty band, kept as the tests' oracle.  Every listing,
+and every t1 scan before it counts, checks the order against
+`HARD_ORDER_LIMIT` in one place (`_require_order`).
 
 Wire formats shared with the command line: a degree sequence is one line
 of comma-separated integers; graphs use the edge-list format of
@@ -149,8 +151,8 @@ def realize(degrees) -> Graph:
     return g
 
 
-def _extend(d: list, alphabet: list, j: int, out: list, i: int, rem: int, lhs: int):
-    # Fills d[i:] with non-increasing values from alphabet[j:] (descending)
+def _extend(d: list, allowed: list, j: int, out: list, i: int, rem: int, lhs: int):
+    # Fills d[i:] with non-increasing values from allowed[j:] (descending)
     # summing to rem, in lexicographically decreasing order, and appends each
     # graphical fill to out as a tuple.  lhs is sum(d[:i]).  A value v at
     # position k = i+1 leaves a tail of n-k entries <= v summing to
@@ -162,8 +164,8 @@ def _extend(d: list, alphabet: list, j: int, out: list, i: int, rem: int, lhs: i
     floor_k = k * (k - 1)
     tail_cap = (n - k) * k
     least = -(-rem // (n - i))  # the entries left cannot exceed this one
-    for j in range(j, len(alphabet)):
-        v = alphabet[j]
+    for j in range(j, len(allowed)):
+        v = allowed[j]
         if v > rem:
             continue
         if v < least:
@@ -173,7 +175,7 @@ def _extend(d: list, alphabet: list, j: int, out: list, i: int, rem: int, lhs: i
             continue
         d[i] = v
         if k < n:
-            _extend(d, alphabet, j, out, k, r, lhs + v)
+            _extend(d, allowed, j, out, k, r, lhs + v)
         elif _eg_ok(tuple(d)):
             out.append(tuple(d))
 
@@ -185,22 +187,21 @@ def _integer_edges(m) -> int:
     return int(m)
 
 
-def _search(n: int, m: int, alphabet: list) -> list:
-    """The graphical sequences of length n and sum 2m whose every degree
-    lies in `alphabet` (descending), lexicographically decreasing.  The
-    one place that enforces `HARD_ORDER_LIMIT`."""
-    m = _integer_edges(m)
+def _require_order(n: int) -> None:
+    # The one check of `HARD_ORDER_LIMIT`, read at call time.
     if n > HARD_ORDER_LIMIT:
-        raise EnumerationLimitError(
-            f"order {n} above enumeration limit {HARD_ORDER_LIMIT}")
+        raise EnumerationLimitError(f"order {n} above enumeration limit {HARD_ORDER_LIMIT}")
+
+
+def _search(n: int, m: int, a: int, b: int) -> list:
+    """The graphical sequences of length n and sum 2m with no degree in the
+    band [a, b], lexicographically decreasing; every one when a > b."""
+    m = _integer_edges(m)
+    _require_order(n)
+    allowed = [v for v in range(n - 1, -1, -1) if not a <= v <= b]
     out = []
-    _extend([0] * n, alphabet, 0, out, 0, 2 * m, 0)
+    _extend([0] * n, allowed, 0, out, 0, 2 * m, 0)
     return out
-
-
-def _outside(n: int, a: int, b: int) -> list:
-    # The degrees 0..n-1 not in [a, b], descending.
-    return [v for v in range(n - 1, -1, -1) if v < a or v > b]
 
 
 def enumerate_graphical(n: int, m: int) -> Iterator[DegreeSequence]:
@@ -211,12 +212,12 @@ def enumerate_graphical(n: int, m: int) -> Iterator[DegreeSequence]:
     their own Erdos-Gallai inequality fails for every possible tail;
     each complete survivor still passes the full `_eg_ok`.  Over the
     cells 0 < m < 55 of n = 11 that check sees 72,674 leaves, where
-    filtering every bounded partition saw 176,482.  The scans do not
-    call it: they search band-avoiding alphabets, and
-    `half_order_summaries` counts every order by `_graphical_totals`; it
-    is their test oracle."""
+    filtering every bounded partition saw 176,482.  It is `_search` on
+    the empty band.  The scans do not call it: they search their own
+    bands, and `half_order_summaries` counts every order by
+    `_graphical_totals`; it is their test oracle."""
     GraphParams(n, m)  # validates the order and the edge count
-    yield from _search(n, m, list(range(n - 1, -1, -1)))
+    yield from _search(n, m, 1, 0)  # the empty band
 
 
 def graphical_sequences(n: int, m: int) -> tuple:
@@ -308,10 +309,10 @@ def _band_sets(n: int, m: int, lo: int, lo_strict: int, hi: int, hi_strict: int)
     """(violations, extremal) as tuples: the graphical sequences of length
     n, sum 2m, with no degree in [lo, hi], and those with none in
     [lo_strict, hi_strict].  The strict band lies inside the closed one, so
-    the violations are filtered out of the extremal sequences, which are
-    searched over the degrees outside it.  One band is kept: thresholds
-    never fall as d_plus grows, so `window_summary` meets each piece once."""
-    extremal = tuple(_search(n, m, _outside(n, lo_strict, hi_strict)))
+    the violations are filtered out of the extremal sequences, the one
+    search of the strict band.  One band is kept: thresholds never fall as
+    d_plus grows, so `window_summary` meets each piece once."""
+    extremal = tuple(_search(n, m, lo_strict, hi_strict))
     return tuple(s for s in extremal if not any(lo <= d <= hi for d in s)), extremal
 
 
@@ -382,18 +383,16 @@ def empirical_d_minus(n: int, m: int, d_plus) -> int:
     (`window_thresholds`), so the scan is exact for any rational d_plus.
 
     One loop lists, for L = lo_strict-1, lo_strict, ..., the graphical
-    sequences over [0, L] and [hi_strict+1, n-1], and stops at the first
-    L with any; every degree of those <= hi_strict is at most L.  At
-    L = lo_strict-1 the listing is the band's extremal set, cached by
-    `_band_sets` for `verify_window`, and the optimum may lie below L;
-    past it none lies below L, since the listing at L-1 was empty.  The
-    loop ends by L = hi_strict, where the alphabet is every degree.
+    sequences with no degree in the band [L+1, hi_strict], and stops at the
+    first L with any; every degree of those <= hi_strict is at most L.  At
+    L = lo_strict-1 the band is the strict one, and the optimum may lie
+    below L; past it none lies below L, since the band one wider had no
+    sequence.  The loop ends by L = hi_strict, where the band is empty.
     """
-    lo, lo_strict, hi, hi_strict = window_thresholds(GraphParams(n, m), d_plus)
-    low, found = lo_strict - 1, _band_sets(n, m, lo, lo_strict, hi, hi_strict)[1]
-    while not found:
+    _, lo_strict, _, hi_strict = window_thresholds(GraphParams(n, m), d_plus)
+    low = lo_strict - 1
+    while not (found := _search(n, m, low + 1, hi_strict)):
         low += 1
-        found = _search(n, m, _outside(n, low + 1, hi_strict))
     return min(max((d for d in s if d <= hi_strict), default=-1) for s in found)
 
 
@@ -456,7 +455,9 @@ def half_order_summaries(nmax: int) -> Iterator[OrderSummary]:
     edge count.  The sequences of all these orders are counted in one
     pass, `_graphical_totals(nmax)`; each order's total less its two
     degenerate cells (m = 0 and m = C(n,2), one sequence each) is its
-    row's `sequences`."""
+    row's `sequences`.  An nmax above `HARD_ORDER_LIMIT` is refused at the
+    first row, before anything is counted."""
+    _require_order(nmax)
     totals = _graphical_totals(nmax)
     for n in range(2, nmax + 1):
         s = _summarize(verify_half_order(n, m) for m in range(1, n * (n - 1) // 2))

@@ -70,11 +70,15 @@ class TestValueTypes:
 
     def test_non_finite_edge_count(self):
         # inf and nan have no integer ratio; every entry taking (n, m)
-        # reaches GraphParams, so each refuses them with a DomainError.
+        # reaches GraphParams, so each refuses them with a DomainError, as
+        # `from_density` does for an average degree.
         for m in (math.inf, -math.inf, math.nan, Decimal("Infinity"), Decimal("NaN")):
             with pytest.raises(DomainError) as info:
                 GraphParams(4, m)
             assert str(info.value) == f"edge count {m!r} is not a finite number"
+            with pytest.raises(DomainError) as info:
+                GraphParams.from_density(4, m)
+            assert str(info.value) == f"average degree {m!r} is not a finite number"
         with pytest.raises(DomainError, match="^edge count inf is not a finite number$"):
             window_grid(4, math.inf)
 

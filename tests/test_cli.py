@@ -125,6 +125,21 @@ class TestSweep:
         rc, _, err = run(capsys, "sweep", "1.5", "--steps", "5")
         assert rc == 2
 
+    def test_density_near_one(self, capsys):
+        # Above 1 - 2.6e-8 the minimizer (1 + d/n)/2 can round onto sqrt(d/n);
+        # every d/n whose square root rounds up to 1 at 4 decimals is refused.
+        rc, out, err = run(capsys, "sweep", "0.9999999999", "--steps", "2")
+        assert rc == 2 and out == ""
+        assert "d/n = 0.9999999999 too close to 1" in err
+        for k in range(1, 200_000, 997):
+            with pytest.raises(DomainError, match="too close to 1"):
+                sweep_rows(1 - k * 1e-12, 2)
+        with pytest.raises(DomainError, match="too close to 1"):
+            sweep_rows(0.99980001, 2)  # sqrt(d/n) = 0.9999
+        rows = sweep_rows(0.9998, 3)  # samples from 0.9999, the minimizer
+        assert [r.d_plus_over_n for r in rows] == [0.9999, 0.99995, 1.0]
+        assert abs(rows[0].ell_min_over_n - 0.5) < 1e-8
+
     def test_oversized_steps_refused_before_sampling(self, capsys, monkeypatch):
         class NoMath:  # the first sample point needs math; refusal must come first
             def __getattr__(self, name):

@@ -76,6 +76,16 @@ class TestWriter:
             for h in (Graph.complete(n), g.complement(), realize(g.degrees())):
                 assert format_edge_list(h) == reference_format_edge_list(h), n
 
+    def test_complement_is_every_non_edge(self):
+        rng = random.Random(1904)
+        for n in (0, 1, 2, 30, 61):
+            for p in (0.0, 0.2, 0.7, 1.0):
+                g = random_graph(n, p, rng)
+                h = g.complement()
+                assert h.edges() == [e for e in itertools.combinations(range(n), 2)
+                                     if not g.has_edge(*e)], (n, p)
+                assert h.complement().edges() == g.edges(), (n, p)
+
     def test_rows_join_to_the_writer(self):
         rng = random.Random(1903)
         graphs = [random_graph(n, 0.3, rng, n // 4) for n in range(25)]
@@ -89,7 +99,8 @@ class TestWriter:
     lambda: build_split_extremal(1000, 249750).graph,
     lambda: Graph.complete(300),
     lambda: build_near_extremal(1500, 500000, 1200).graph,
-], ids=["split-1000", "complete-300", "near-1500"])
+    lambda: Graph(600).complement(),
+], ids=["split-1000", "complete-300", "near-1500", "complement-600"])
 def test_row_insert_shares_one_int_per_vertex(build):
     # Iterating a range makes a new int for every entry above 256; the
     # row insert slices its one list of vertices instead.

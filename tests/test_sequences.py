@@ -227,7 +227,7 @@ class TestEnumeration:
         assert totals == [2, 4, 11, 31, 102, 342, 1213, 4361, 16016, 59348]
 
     def test_scans_never_enumerate(self, monkeypatch):
-        # Both verifiers and empirical_d_minus search band-avoiding alphabets;
+        # Both verifiers and empirical_d_minus search their own bands;
         # full enumeration is only the tests' oracle.  Only the t1 scan
         # counts, once for all its orders; the window scans never count.
         def stub(n, m):
@@ -288,6 +288,27 @@ class TestEnumeration:
             with pytest.raises(EnumerationLimitError,
                                match=r"^order 13 above enumeration limit 12$"):
                 scan()
+
+    def test_t1_refuses_an_order_before_counting(self, monkeypatch):
+        def no_count(order):
+            raise AssertionError(f"_graphical_totals({order}) called")
+        monkeypatch.setattr(sequences, "_graphical_totals", no_count)
+        with pytest.raises(EnumerationLimitError,
+                           match=r"^order 13 above enumeration limit 12$"):
+            next(sequences.half_order_summaries(13))
+
+    def test_scans_past_the_limit(self, monkeypatch):
+        # The limit is read at call time, so both scans run past 12 when it
+        # is raised.  The t1 profile mismatches are the star and
+        # K_{n-1} + K_1, two per order from n = 3.
+        monkeypatch.setattr(sequences, "HARD_ORDER_LIMIT", 16)
+        rows = list(sequences.half_order_summaries(16))
+        assert [r.mismatches for r in rows] == [0] + [2] * 14
+        t1 = sequences.OrderSummary.total(rows)
+        assert (t1.sequences, t1.violations, t1.extremal, t1.mismatches) == \
+            (62_316_783, 0, 56, 28)
+        t2 = sequences.OrderSummary.total(map(sequences.window_summary, range(2, 17)))
+        assert (t2.cells, t2.violations, t2.bound_failures) == (23_767, 0, 0)
 
     def test_bad_edge_count(self):
         with pytest.raises(DomainError):
@@ -394,17 +415,20 @@ class TestCounting:
         assert sum(totals[n] - 2 for n in range(2, 21)) == 13_544_587_260
 
 
-class TestAlphabetSearch:
+class TestBandSearch:
     @staticmethod
-    def alphabets(n, rng):
-        # The empty and the full alphabet, the complement of the empty strict
-        # band of n = 2, and seeded random subsets of 0..n-1, each descending.
+    def bands(n, rng):
+        # Every band [a, b] inside 0..n-1 and one empty band up to order 8;
+        # past it the empty band, the full one, the empty strict band of
+        # n = 2 and seeded random bands, some reaching past 0..n-1.
+        if n <= 8:
+            yield 1, 0
+            yield from itertools.combinations_with_replacement(range(n), 2)
+            return
         _, lo_strict, _, hi_strict = half_order_thresholds(GraphParams(2, 1))
-        yield []
-        yield list(range(n - 1, -1, -1))
-        yield sequences._outside(n, lo_strict, hi_strict)
+        yield from [(1, 0), (0, n - 1), (lo_strict, hi_strict)]
         for _ in range(4):
-            yield sorted(rng.sample(range(n), rng.randint(1, n)), reverse=True)
+            yield tuple(sorted(rng.choices(range(-1, n + 1), k=2)))
 
     def test_matches_filtered_enumeration(self):
         rng = random.Random(12)
@@ -412,9 +436,9 @@ class TestAlphabetSearch:
         for n in range(2, 11):
             for m in range(n * (n - 1) // 2 + 1):
                 every = list(enumerate_graphical(n, m))
-                for alphabet in self.alphabets(n, rng):
-                    expected = [s for s in every if set(s) <= set(alphabet)]
-                    assert sequences._search(n, m, alphabet) == expected, (n, m, alphabet)
+                for a, b in self.bands(n, rng):
+                    expected = [s for s in every if not any(a <= d <= b for d in s)]
+                    assert sequences._search(n, m, a, b) == expected, (n, m, a, b)
                     nonempty += bool(expected)
         assert nonempty > 500
 
@@ -436,7 +460,7 @@ class TestEmpiricalDMinus:
     def test_integer_d_plus_at_orders_9_and_10(self):
         # Every integer d_plus in (d, n-1], at or below the root too, against
         # one enumeration per (n, m); most cells have no extremal sequence,
-        # so the loop widens its alphabet past the band's complement.
+        # so the loop narrows its band past the strict one.
         cells = walked = 0
         for n in (9, 10):
             for m in range(1, n * (n - 1) // 2):
@@ -618,9 +642,9 @@ class TestVerifyWindow:
         # calls _search once per window piece, for that piece's band.
         search, calls = sequences._search, []
 
-        def counted(n, m, alphabet):
+        def counted(n, m, a, b):
             calls.append((n, m))
-            return search(n, m, alphabet)
+            return search(n, m, a, b)
         monkeypatch.setattr(sequences, "_search", counted)
         sequences._band_sets.cache_clear()
         sequences.window_summary(9)
@@ -651,10 +675,11 @@ class TestVerifyWindow:
         assert second.violations == second.extremal_sequences == []
         third = verify_window(9, 18, 7)
         assert third.violations == third.extremal_sequences == []
-        hits = sequences._band_sets.cache_info().hits
+        # empirical_d_minus searches its own bands and leaves the cache alone.
+        info = sequences._band_sets.cache_info()
         assert empirical_d_minus(9, 18, 7) == reference_band_scan(
             9, 18, *window_thresholds(GraphParams(9, 18), 7))[3]
-        assert sequences._band_sets.cache_info().hits == hits + 1
+        assert sequences._band_sets.cache_info() == info
 
     def test_order_limit_error_is_not_cached(self):
         for _ in range(2):
@@ -734,7 +759,7 @@ class TestBandScanAgainstReference:
         # optimum and bound_ok off that set.  verify_window is handed each
         # band in place of its thresholds, so its own filter over
         # _band_sets(...)[1] decides bound_ok here, and empirical_d_minus
-        # starts its loop from that set.
+        # starts its loop from the band's strict part.
         band, nonempty = None, 0
         monkeypatch.setattr(sequences, "window_thresholds", lambda p, d_plus: band)
         monkeypatch.setattr(sequences, "require_above_root", lambda p, d_plus: None)
