@@ -19,8 +19,9 @@ search of the strict band (`_band_sets`), and a window cell is decided
 by that search alone.  The exact window optimum is found only by
 `empirical_d_minus`: the first non-empty listing over the bands
 [L+1, hi_strict], L rising from lo_strict-1.  The window thresholds are
-step functions of d_plus, so grid cells in one window piece share a
-band, searched once.  A half-order cell's thresholds are computed in
+step functions of d_plus, so `window_summary` decides one report per
+window piece, a run of grid cells with equal thresholds, and counts it
+for every cell of the run.  A half-order cell's thresholds are computed in
 integers (`half_order_thresholds`), and its two-endpoint profile is built
 only when the cell has extremal sequences to compare with it.  The
 sequences of every order of a scan are counted once, in one
@@ -35,10 +36,9 @@ of comma-separated integers; graphs use the edge-list format of
 `graphs`.
 """
 
-import functools
 import math
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, groupby
 from operator import add
 from typing import Iterator, NamedTuple, Optional
 
@@ -304,16 +304,14 @@ def _graphical_totals(order: int) -> tuple:
     return tuple(accumulate(by_length))
 
 
-@functools.lru_cache(maxsize=1)
 def _band_sets(n: int, m: int, lo: int, lo_strict: int, hi: int, hi_strict: int) -> tuple:
-    """(violations, extremal) as tuples: the graphical sequences of length
-    n, sum 2m, with no degree in [lo, hi], and those with none in
+    """(violations, extremal) as two new lists: the graphical sequences of
+    length n, sum 2m, with no degree in [lo, hi], and those with none in
     [lo_strict, hi_strict].  The strict band lies inside the closed one, so
     the violations are filtered out of the extremal sequences, the one
-    search of the strict band.  One band is kept: thresholds never fall as
-    d_plus grows, so `window_summary` meets each piece once."""
-    extremal = tuple(_search(n, m, lo_strict, hi_strict))
-    return tuple(s for s in extremal if not any(lo <= d <= hi for d in s)), extremal
+    search of the strict band."""
+    extremal = _search(n, m, lo_strict, hi_strict)
+    return [s for s in extremal if not any(lo <= d <= hi for d in s)], extremal
 
 
 class VerificationReport(NamedTuple):
@@ -369,7 +367,7 @@ def verify_half_order(n: int, m: int) -> VerificationReport:
     if extremal and 0 < p.m < p.max_edges:  # 0 < d < n-1
         expected = _profile_sequence(p)
         mismatches = [s for s in extremal if s != expected]
-    return VerificationReport(p, None, list(violations), list(extremal), mismatches)
+    return VerificationReport(p, None, violations, extremal, mismatches)
 
 
 def empirical_d_minus(n: int, m: int, d_plus) -> int:
@@ -400,8 +398,7 @@ def verify_window(n: int, m: int, d_plus) -> VerificationReport:
     """Scan every graphical sequence for an entry in [d_minus bound, d_plus],
     decided on exact integer thresholds; needs sqrt(d n) < d_plus <= n-1.
 
-    Grid cells in one window piece have the same thresholds and share one
-    band, searched once (`_band_sets`); each report gets its own lists.
+    One search of the strict band (`_band_sets`) decides the cell.
     `bound_ok` (optimum >= lo) is, like the violations, a filter over the
     extremal sequences: only they can miss [lo, hi_strict]."""
     p = GraphParams(n, m)
@@ -410,7 +407,7 @@ def verify_window(n: int, m: int, d_plus) -> VerificationReport:
         require_above_root(p, d_plus)  # raises
     violations, extremal = _band_sets(n, m, lo, lo_strict, hi, hi_strict)
     bound_ok = all(any(lo <= d <= hi_strict for d in s) for s in extremal)
-    return VerificationReport(p, d_plus, list(violations), list(extremal), [], bound_ok)
+    return VerificationReport(p, d_plus, violations, extremal, [], bound_ok)
 
 
 def window_grid(n: int, m: int) -> list:
@@ -466,9 +463,19 @@ def half_order_summaries(nmax: int) -> Iterator[OrderSummary]:
 
 def window_summary(n: int) -> OrderSummary:
     """`verify_window` at order n, totalled over every edge count and its
-    `window_grid`; one cell per (m, d_plus)."""
-    ms = range(1, n * (n - 1) // 2)
-    return _summarize(verify_window(n, m, dp) for m in ms for dp in window_grid(n, m))
+    `window_grid`; one cell per (m, d_plus).
+
+    The thresholds are step functions of d_plus, so consecutive grid cells
+    of one m often share them: a run of such cells is one window piece,
+    and its first cell's report is counted for every cell of the run
+    (7,089 cells in 1,812 pieces at n <= 12).  Only equal neighbours are
+    merged, so the totals are those of one `verify_window` per cell."""
+    reports = []
+    for m in range(1, n * (n - 1) // 2):
+        p = GraphParams(n, m)
+        for _, (dp, *rest) in groupby(window_grid(n, m), lambda dp: window_thresholds(p, dp)):
+            reports += [verify_window(n, m, dp)] * (1 + len(rest))
+    return _summarize(reports)
 
 
 def find_vertex_in_interval(g: Graph, interval: Interval):
@@ -535,11 +542,15 @@ def peel_trace(g: Graph) -> list:
 
 
 def parse_sequence(text: str) -> DegreeSequence:
-    """Degree sequence from one line of comma-separated integers."""
+    """Degree sequence from one line of comma-separated integers.
+
+    An item that is not an optional sign and decimal digits reaches
+    `as_degree_sequence` as text, whose check names it ("degree '1.5' is
+    not an integer")."""
     items = [part.strip() for part in text.split(",") if part.strip()]
     if not items:
         raise DomainError("empty degree sequence")
-    return as_degree_sequence(int(part) for part in items)
+    return as_degree_sequence(int(p) if p[p[0] in "+-":].isdecimal() else p for p in items)
 
 
 def format_sequence(seq) -> str:

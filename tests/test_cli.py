@@ -310,6 +310,19 @@ class TestConstructionCommands:
         rc, out, _ = run(capsys, "check-seq", "--seq", "5,1")
         assert rc == 1 and out == "5,1: not graphical\n"
 
+    def test_degree_that_is_not_an_integer(self, capsys):
+        # The library's own check names the item, not int()'s message.
+        for command, seq, item in [("realize", "1.5,1", "'1.5'"),
+                                   ("check-seq", "a,1", "'a'"),
+                                   ("check-seq", "--3,1", "'--3'"),
+                                   ("realize", "1,  2e0 ", "'2e0'")]:
+            rc, out, err = run(capsys, command, f"--seq={seq}")
+            assert (rc, out, err) == (2, "", f"error: degree {item} is not an integer\n"), seq
+        rc, out, _ = run(capsys, "check-seq", "--seq", "+3, 1,1,1")
+        assert (rc, out) == (0, "3,1,1,1: graphical\n")
+        rc, _, err = run(capsys, "check-seq", "--seq=-1,1")
+        assert (rc, err) == (2, "error: degree -1 is negative\n")
+
 
 class TestPeel:
     def test_complete_graph_trace(self, capsys, tmp_path):

@@ -625,18 +625,6 @@ class TestVerifyWindow:
             pieces.update((m, t) for t in walk)
         return pieces
 
-    def test_one_search_per_window_piece(self):
-        # Along each m's grid the thresholds never decrease, so the cells of
-        # one window piece come in a row and the one-band cache misses
-        # exactly once per piece.
-        n, pieces = 9, self.window_pieces(9)
-        sequences._band_sets.cache_clear()
-        summary = sequences.window_summary(n)
-        info = sequences._band_sets.cache_info()
-        assert (info.misses, info.hits + info.misses, info.currsize) == \
-            (len(pieces), summary.cells, 1)
-        assert len(pieces) < summary.cells
-
     def test_t2_runs_one_search_per_window_piece(self, monkeypatch):
         # No walk of the exact optimum is on the t2 path: window_summary
         # calls _search once per window piece, for that piece's band.
@@ -646,9 +634,34 @@ class TestVerifyWindow:
             calls.append((n, m))
             return search(n, m, a, b)
         monkeypatch.setattr(sequences, "_search", counted)
-        sequences._band_sets.cache_clear()
-        sequences.window_summary(9)
-        assert len(calls) == len(self.window_pieces(9))
+        summary, pieces = sequences.window_summary(9), self.window_pieces(9)
+        assert len(calls) == len(pieces) < summary.cells
+
+    def test_piece_walk_equals_the_per_cell_sum(self):
+        for n in range(2, 10):
+            cells = (verify_window(n, m, dp)
+                     for m in range(1, n * (n - 1) // 2) for dp in window_grid(n, m))
+            assert sequences.window_summary(n) == sequences._summarize(cells), n
+
+    def test_piece_walk_counts_every_cell_of_a_piece(self, monkeypatch):
+        # No grid cell has an extremal sequence, so the totals above are all
+        # zero but the cell count.  Here each d_plus is handed one of two
+        # bands with an empty strict part, by the parity of its integer
+        # part, so every sequence of the cell is extremal, those with no
+        # degree in [lo, hi] are violations, and every cell with a sequence
+        # fails bound_ok.  The two bands alternate along each grid, so runs
+        # of equal bands come back after a different one.
+        bands = [(1, 2, 1, 0), (2, 3, 2, 2)]
+        monkeypatch.setattr(sequences, "window_thresholds",
+                            lambda p, d_plus: bands[math.floor(d_plus) % 2])
+        monkeypatch.setattr(sequences, "require_above_root", lambda p, d_plus: None)
+        rows = []
+        for n in range(2, 8):
+            cells = (verify_window(n, m, dp)
+                     for m in range(1, n * (n - 1) // 2) for dp in window_grid(n, m))
+            rows.append(sequences._summarize(cells))
+            assert sequences.window_summary(n) == rows[-1], n
+        assert sequences.OrderSummary.total(rows) == (666, 0, 2236, 6895, 0, 657)
 
     def test_bound_ok_is_the_optimum_reaching_lo(self):
         # At every quarter-integer d_plus above the root, the filter over the
@@ -667,19 +680,12 @@ class TestVerifyWindow:
         assert cells == 512
 
     def test_reports_from_one_band_own_their_lists(self):
-        sequences._band_sets.cache_clear()
         first, second = verify_window(9, 18, Fraction(7)), verify_window(9, 18, 7.0)
-        assert sequences._band_sets.cache_info().hits == 1
         first.violations.append((8,) * 9)
         first.extremal_sequences.append((8,) * 9)
         assert second.violations == second.extremal_sequences == []
         third = verify_window(9, 18, 7)
         assert third.violations == third.extremal_sequences == []
-        # empirical_d_minus searches its own bands and leaves the cache alone.
-        info = sequences._band_sets.cache_info()
-        assert empirical_d_minus(9, 18, 7) == reference_band_scan(
-            9, 18, *window_thresholds(GraphParams(9, 18), 7))[3]
-        assert sequences._band_sets.cache_info() == info
 
     def test_order_limit_error_is_not_cached(self):
         for _ in range(2):
@@ -770,7 +776,7 @@ class TestBandScanAgainstReference:
                         for band in itertools.product([lo], [lo, lo + 1], [hi], [hi, hi - 1]):
                             _, violations, extremal, low_max = reference_band_scan(n, m, *band)
                             assert sequences._band_sets(n, m, *band) == \
-                                (tuple(violations), tuple(extremal)), (n, m, band)
+                                (violations, extremal), (n, m, band)
                             assert empirical_d_minus(n, m, n - 1) == low_max, (n, m, band)
                             assert verify_window(n, m, n - 1).bound_ok == (low_max >= lo), \
                                 (n, m, band)
